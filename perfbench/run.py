@@ -21,7 +21,7 @@ import os
 import subprocess
 import sys
 
-WORKLOADS = ("train_step", "train_merge", "serve_open")
+WORKLOADS = ("train_step", "train_merge")
 RUN_TIMEOUT_S = 175
 RESULT_KEYS = {"correct", "attempted", "failed", "metrics"}
 

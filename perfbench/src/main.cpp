@@ -2,7 +2,7 @@
 // one seed and prints, as its last stdout line, one JSON object with the
 // correctness ledger and every metric by name and unit.
 //
-//   perfbench --workload train_step|train_merge|serve_open --seed N
+//   perfbench --workload train_step|train_merge --seed N
 //             --seconds S --trace 0|1 [--commit ID] [--sources DIGEST]
 //             [--work-dir DIR]
 //
@@ -15,7 +15,6 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -160,7 +159,7 @@ double file_size_or_zero(const std::string& path) {
 double serve_workload(const Workload& w, const Options& o,
                       const nn::Model& own, const data::XmlDataset& own_data,
                       bool traced, Report& report) {
-  const double seconds = o.seconds * (1.0 - w.train_share);
+  const double seconds = o.seconds * (1.0 - kTrainShare);
   if (!w.serve_model) {
     return serve_phase(own, own_data, o.seed, seconds, traced, report);
   }
@@ -176,15 +175,13 @@ double serve_workload(const Workload& w, const Options& o,
 
 void run_end_to_end(const Workload& w, const Options& o, Report& report) {
   const auto& shape = w.train;
-  const bool train_in_setup = w.train_share == 0.0;
-  const double train_budget = o.seconds * w.train_share;
+  const double train_budget = o.seconds * kTrainShare;
   const std::string ckpt = o.work_dir + "/" + w.name + "-untraced.hgck";
 
   // Replicates 0..R-1 each set up from scratch (data generation + trainer
-  // construction, plus training itself when the workload trains during
-  // set-up). Later repetitions reuse the data and cycle the same trainer
-  // seeds; each must reproduce its replicate bit for bit.
-  std::optional<data::XmlDataset> dataset;
+  // construction). Later repetitions cycle the same datasets and trainer
+  // seeds until the training budget is spent; each must reproduce its
+  // replicate bit for bit.
   std::vector<double> setup_s, rate, tta, top1;
   std::vector<TrainOutcome> reps;
   const bool checkpoints = shape.checkpoint_every > 0;
@@ -192,21 +189,16 @@ void run_end_to_end(const Workload& w, const Options& o, Report& report) {
   std::uint64_t ckpt_digest = 0;
   const auto loop_start = Clock::now();
   for (std::size_t k = 0;
-       k < kReplicates ||
-       (!train_in_setup && seconds_since(loop_start) < train_budget);
-       ++k) {
+       k < kReplicates || seconds_since(loop_start) < train_budget; ++k) {
     const auto seed_k = replicate_seed(o.seed, k % kReplicates);
     const auto t0 = Clock::now();
-    if (k < kReplicates) {
-      dataset.reset();
-      dataset = data::generate_xml_dataset(shape.data);
-    }
-    auto trainer = build_trainer(*dataset, shape, seed_k);
+    const auto data_k = replicate_dataset(shape, o.seed, k % kReplicates);
+    auto trainer = build_trainer(data_k, shape, seed_k);
     const double built_s = seconds_since(t0);
     auto out = train_untraced(*trainer, shape, ckpt);
     report.attempt();
     if (k < kReplicates) {
-      setup_s.push_back(built_s + (train_in_setup ? out.loop_s : 0.0));
+      setup_s.push_back(built_s);
     }
     rate.push_back(static_cast<double>(out.samples) / out.loop_s);
     if (k == 0 && checkpoints) {
@@ -225,11 +217,12 @@ void run_end_to_end(const Workload& w, const Options& o, Report& report) {
     }
   }
   std::filesystem::remove(ckpt);
+  const auto dataset = replicate_dataset(shape, o.seed, 0);
 
   // Correctness gate: the traced replay of replicate 0 must reproduce the
   // untraced run bit for bit, checkpoint bytes included.
   {
-    auto trainer = build_trainer(*dataset, shape, replicate_seed(o.seed, 0));
+    auto trainer = build_trainer(dataset, shape, replicate_seed(o.seed, 0));
     SpanLog log;
     const std::string ckpt_t = o.work_dir + "/" + w.name + "-traced.hgck";
     const auto replay = train_replay(*trainer, shape, ckpt_t, &log, nullptr);
@@ -243,7 +236,7 @@ void run_end_to_end(const Workload& w, const Options& o, Report& report) {
   }
 
   const double recall =
-      serve_workload(w, o, *reps[0].final_model, *dataset, false, report);
+      serve_workload(w, o, *reps[0].final_model, dataset, false, report);
 
   base_counters(reps[0], tta[0], recall, ckpt_bytes)
       .check_ledger(ledger_path(o, w, "counters"), report);
@@ -268,7 +261,7 @@ void run_traced(const Workload& w, const Options& o, Report& report) {
   const auto seed0 = replicate_seed(o.seed, 0);
 
   auto t0 = Clock::now();
-  const auto dataset = data::generate_xml_dataset(shape.data);
+  const auto dataset = replicate_dataset(shape, o.seed, 0);
   report.add("data.generate_s", seconds_since(t0), "s");
 
   // Untraced runs before and after the traced one, so the overhead ratio

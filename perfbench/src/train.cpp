@@ -104,17 +104,12 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
   w.name = name;
   if (name == "train_step") {
     w.train = default_shape(seed, 12);
-    w.train_share = 0.75;
   } else if (name == "train_merge") {
     w.train = merge_shape(seed);
-    w.train_share = 0.75;
     // The wide int8-merged model's LSH recall@5 ranges 0.26-0.99 over
     // seeds (its output layer sees ~1.5 passes), below the 0.95 gate, so
-    // this workload serves the serve_open model instead.
+    // this workload serves a default-shape model instead.
     w.serve_model = default_shape(seed, 10);
-  } else if (name == "serve_open") {
-    w.train = default_shape(seed, 10);
-    w.train_share = 0.0;
   } else {
     throw std::invalid_argument("unknown workload '" + name + "'");
   }
@@ -123,6 +118,13 @@ Workload make_workload(const std::string& name, std::uint64_t seed) {
 
 std::uint64_t replicate_seed(std::uint64_t seed, std::size_t r) {
   return seed * 1000003u + 7919u * (r + 1);
+}
+
+data::XmlDataset replicate_dataset(const TrainShape& shape,
+                                   std::uint64_t seed, std::size_t r) {
+  auto cfg = shape.data;
+  cfg.seed = replicate_seed(seed, r) ^ 0x9e3779b97f4a7c15ull;
+  return data::generate_xml_dataset(cfg);
 }
 
 std::unique_ptr<core::AdaptiveSgdTrainer> build_trainer(

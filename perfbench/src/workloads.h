@@ -3,7 +3,8 @@
 // Every workload runs the system's whole pipeline — synthetic data, adaptive
 // SGD training on the simulated cluster, publication of the trained model,
 // open-loop serving — so every end-to-end metric exists on every workload.
-// The workloads differ in shape and in where the run's time goes:
+// kTrainShare of --seconds goes to the timed training loop, the rest to
+// serving. The workloads differ in shape and in where the run's time goes:
 //
 //   train_step  the default hetero_train shape. Replica step math dominates
 //               the loop; merges are a small share. Kernel and nn changes
@@ -12,10 +13,9 @@
 //               sparse int8 merges every 4 batches and periodic
 //               checkpoints. Merge, comm, quant and fault changes show
 //               here; kernel changes should not.
-//   serve_open  the train_step model, trained during set-up, then the
-//               whole run is open-loop serving at 4k and 32k QPS (traced
-//               runs add the capacity ladder). Gather-window and
-//               serving-path changes show here.
+// The serving phase runs open-loop traffic at 4k and 32k QPS on both
+// (traced runs add the capacity ladder), so gather-window and serving-path
+// changes show in the traced per-layer metrics of either.
 #pragma once
 
 #include <cstdint>
@@ -58,13 +58,14 @@ struct TrainShape {
 struct Workload {
   std::string name;
   TrainShape train;
-  /// Share of --seconds spent in the timed training loop (0 = training
-  /// happens only during set-up, as in serve_open).
-  double train_share = 0.0;
   /// Set when the workload's own model is not the one served: this shape is
   /// trained (untimed) for the serving phase instead.
   std::optional<TrainShape> serve_model;
 };
+
+/// Share of --seconds spent in the timed training loop; serving gets the
+/// rest.
+inline constexpr double kTrainShare = 0.75;
 
 /// Builds workload `name` for `seed`; throws std::invalid_argument for an
 /// unknown name.
@@ -74,6 +75,13 @@ Workload make_workload(const std::string& name, std::uint64_t seed);
 /// from the workload seed and reports medians over them.
 inline constexpr std::size_t kReplicates = 5;
 std::uint64_t replicate_seed(std::uint64_t seed, std::size_t r);
+
+/// Dataset of replicate `r`: the shape's data drawn with a seed of its own,
+/// so the medians span kReplicates datasets, not one. A single dataset per
+/// workload seed left vtime_tta_s spreading 0.14 of its median over 10
+/// seeds, as some datasets reach the top-1 target much later than others.
+data::XmlDataset replicate_dataset(const TrainShape& shape,
+                                   std::uint64_t seed, std::size_t r);
 
 // --- training phase ----------------------------------------------------------
 
