@@ -101,7 +101,8 @@ BENCHMARK(BM_SpmmParallel)
     ->Args({1, 16})->Args({1, 100})->Args({1, 400})
     ->Args({2, 100})
     ->Args({4, 16})->Args({4, 100})->Args({4, 400})
-    ->Args({8, 16})->Args({8, 100})->Args({8, 400});
+    ->Args({8, 16})->Args({8, 100})->Args({8, 400})
+    ->UseRealTime();
 
 void BM_SpmmTranspose(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
@@ -143,7 +144,8 @@ void BM_SparseGradientAccumulate(benchmark::State& state) {
 BENCHMARK(BM_SparseGradientAccumulate)
     ->Args({1, 16})->Args({1, 100})->Args({1, 400})
     ->Args({4, 100})
-    ->Args({8, 16})->Args({8, 100})->Args({8, 400});
+    ->Args({8, 16})->Args({8, 100})->Args({8, 400})
+    ->UseRealTime();
 
 void BM_DenseGemm(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
@@ -178,7 +180,8 @@ void BM_DenseGemmParallel(benchmark::State& state) {
                           static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_DenseGemmParallel)
-    ->Args({2, 1024})->Args({4, 1024})->Args({8, 1024})->Args({8, 4096});
+    ->Args({2, 1024})->Args({4, 1024})->Args({8, 1024})->Args({8, 4096})
+    ->UseRealTime();
 
 void BM_SoftmaxRows(benchmark::State& state) {
   util::Rng rng(6);
@@ -192,6 +195,39 @@ void BM_SoftmaxRows(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SoftmaxRows)->Arg(1024)->Arg(4096);
+
+// The train_step backward product delta1 = delta2 * W2^T at its real shape:
+// (128 x 1024) * (48 x 1024)^T — the register-tiled gemm_a_bt.
+void BM_GemmABt(benchmark::State& state) {
+  util::Rng rng(11);
+  tensor::Matrix delta2(128, 1024), w2(48, 1024), delta1;
+  tensor::init_gaussian(delta2, 0.05, rng);
+  tensor::init_gaussian(w2, 0.05, rng);
+  for (auto _ : state) {
+    tensor::gemm_a_bt(delta2, w2, delta1);
+    benchmark::DoNotOptimize(delta1.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * 128 * 48 * 1024);
+}
+BENCHMARK(BM_GemmABt);
+
+// touched_columns (the bitmap walk) on a 128-row batch at 76 nnz/row.
+// Arg: log2(features) — 12 is the train_step width, 17 train_merge's.
+void BM_TouchedColumns(benchmark::State& state) {
+  const std::size_t features = std::size_t{1} << state.range(0);
+  const auto x = make_sparse_batch(128, features, 76, 12);
+  std::vector<std::uint32_t> cols;
+  std::vector<std::uint64_t> bits;
+  for (auto _ : state) {
+    sparse::touched_columns(x, cols, bits);
+    benchmark::DoNotOptimize(cols.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.nnz()));
+}
+BENCHMARK(BM_TouchedColumns)->Arg(12)->Arg(17);
 
 void BM_FullSgdStep(benchmark::State& state) {
   nn::MlpConfig cfg;
@@ -239,7 +275,7 @@ void BM_SgdStepXml(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
 BENCHMARK(BM_SgdStepXml)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+    ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The seed implementation's hot path, kept here as the speedup baseline: a
 // dense F x H layer-1 gradient that is zero-filled every step, serial
@@ -332,7 +368,7 @@ void BM_SmokeSgdStep(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }
-BENCHMARK(BM_SmokeSgdStep);
+BENCHMARK(BM_SmokeSgdStep)->UseRealTime();
 
 // ---- Per-ISA kernel rows -------------------------------------------------
 //

@@ -485,12 +485,14 @@ BENCHMARK(BM_MergePr1Path)->Args({21, 4})->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MergeFusedDense)
     ->Args({21, 4, 8})
     ->Args({21, 4, 1})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MergeFusedDelta)
     ->Args({21, 4, 8, 226})
     ->Args({21, 4, 1, 226})
     ->Args({21, 4, 8, 50})
     ->Args({21, 4, 8, 500})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Smaller sweep: model size x replicas x threads x touched fraction.
@@ -504,6 +506,7 @@ BENCHMARK(BM_MergeFusedDense)
     ->Args({17, 4, 4})
     ->Args({17, 4, 8})
     ->Args({17, 2, 8})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MergeFusedDelta)
     ->Args({17, 4, 8, 50})
@@ -511,6 +514,7 @@ BENCHMARK(BM_MergeFusedDelta)
     ->Args({17, 4, 8, 500})
     ->Args({17, 4, 2, 226})
     ->Args({17, 2, 8, 226})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // args: {log2(features), replicas, threads, touched permille, precision}
@@ -549,6 +553,7 @@ BENCHMARK(BM_MergeQuantizedDelta)
     ->Args({17, 4, 8, 226, 1})
     ->Args({17, 4, 8, 226, 2})
     ->Args({17, 4, 8, 50, 2})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // args: {precision} — end-to-end time-to-accuracy parity on the tiny
@@ -641,6 +646,7 @@ BENCHMARK(BM_MergeFusedDeltaDeep)
     ->Args({21, 4, 8, 226})
     ->Args({17, 4, 8, 226})
     ->Args({17, 4, 1, 226})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 // Tiny smoke shape for the bench-smoke ctest label (exercises all merge
@@ -675,7 +681,7 @@ void BM_SmokeMergePaths(benchmark::State& state) {
     benchmark::DoNotOptimize(deep.global.segment_views()[0].data());
   }
 }
-BENCHMARK(BM_SmokeMergePaths)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SmokeMergePaths)->UseRealTime()->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -3,8 +3,11 @@
 // Phase 1 (traffic): an adaptive training run publishes a snapshot at every
 // merge boundary while a client thread fires test-row queries at the server
 // with exponential interarrival times (Poisson process at --qps). Records
-// p50/p99 service latency, achieved QPS, queue/wave shape, sheds, and the
-// model-freshness lag observed per response.
+// p50/p99 latency, achieved QPS, queue/wave shape, sheds, and the
+// model-freshness lag observed per response. Latency runs from each
+// request's due time, not from its submit(): a generator that wakes late
+// would otherwise hide that wait. The generator's own lateness (submit −
+// due) is reported next to it.
 //
 // Phase 2 (recall): on the final snapshot, every recall-probe query is
 // answered twice — exact output-layer scan and SLIDE LSH candidates — and
@@ -117,7 +120,10 @@ int main(int argc, char** argv) {
 
   util::Rng traffic_rng(seed ^ 0x5e57e);
   std::vector<std::future<serve::Response>> futures;
+  // Generator lateness per request: submit() time minus due time.
+  std::vector<double> late_us;
   futures.reserve(requests);
+  late_us.reserve(requests);
   const auto traffic_start = std::chrono::steady_clock::now();
   auto next_send = traffic_start;
   for (std::size_t r = 0; r < requests; ++r) {
@@ -128,21 +134,25 @@ int main(int argc, char** argv) {
         std::chrono::steady_clock::duration>(
         std::chrono::duration<double>(gap_s));
     std::this_thread::sleep_until(next_send);
+    late_us.push_back(std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - next_send)
+                          .count());
     futures.push_back(server.submit(row_request(queries, r % queries.rows())));
   }
 
-  std::vector<double> service_us, queue_us, freshness, wave_sizes;
+  // latency_us: due time -> response ready = lateness + service_us.
+  std::vector<double> latency_us, queue_us, freshness, wave_sizes;
   std::uint64_t first_version = 0, last_version = 0;
   std::size_t shed = 0;
-  for (auto& f : futures) {
-    const auto resp = f.get();
+  for (std::size_t r = 0; r < futures.size(); ++r) {
+    const auto resp = futures[r].get();
     if (resp.shed) {
       ++shed;
       continue;
     }
     if (first_version == 0) first_version = resp.snapshot_version;
     last_version = resp.snapshot_version;
-    service_us.push_back(static_cast<double>(resp.service_us));
+    latency_us.push_back(late_us[r] + static_cast<double>(resp.service_us));
     queue_us.push_back(static_cast<double>(resp.queue_us));
     freshness.push_back(resp.freshness_lag);
     wave_sizes.push_back(static_cast<double>(resp.wave_size));
@@ -155,20 +165,22 @@ int main(int argc, char** argv) {
   server.stop();
   const auto stats = server.stats();
 
-  const double p50 = util::quantile(service_us, 0.5);
-  const double p99 = util::quantile(service_us, 0.99);
+  const double p50 = util::quantile(latency_us, 0.5);
+  const double p99 = util::quantile(latency_us, 0.99);
+  const double late_p99 = util::quantile(late_us, 0.99);
   const double achieved_qps =
       traffic_seconds > 0.0
-          ? static_cast<double>(service_us.size()) / traffic_seconds
+          ? static_cast<double>(latency_us.size()) / traffic_seconds
           : 0.0;
   const double max_freshness =
       freshness.empty() ? 0.0
                         : *std::max_element(freshness.begin(), freshness.end());
 
   std::printf(
-      "traffic: %zu served, %zu shed, p50 %.0fus p99 %.0fus, %.0f qps "
-      "achieved (%.0f offered), mean wave %.2f, versions %llu..%llu\n",
-      service_us.size(), shed, p50, p99, achieved_qps, qps,
+      "traffic: %zu served, %zu shed, p50 %.0fus p99 %.0fus (generator late "
+      "p99 %.0fus), %.0f qps achieved (%.0f offered), mean wave %.2f, "
+      "versions %llu..%llu\n",
+      latency_us.size(), shed, p50, p99, late_p99, achieved_qps, qps,
       mean(wave_sizes), static_cast<unsigned long long>(first_version),
       static_cast<unsigned long long>(last_version));
   std::printf("freshness lag: mean %.4fs max %.4fs (virtual time)\n",
@@ -220,9 +232,10 @@ int main(int argc, char** argv) {
       << ",\"latency_budget_us\":" << latency_budget_us
       << ",\"queue_cap\":" << queue_cap << ",\"topk\":" << topk
       << ",\"offered_qps\":" << qps << ",\"requests\":" << requests
-      << ",\"traffic\":{\"served\":" << service_us.size()
+      << ",\"traffic\":{\"served\":" << latency_us.size()
       << ",\"shed\":" << shed << ",\"p50_us\":" << p50
-      << ",\"p99_us\":" << p99 << ",\"queue_p50_us\":"
+      << ",\"p99_us\":" << p99 << ",\"gen_late_p99_us\":" << late_p99
+      << ",\"queue_p50_us\":"
       << util::quantile(queue_us, 0.5)
       << ",\"achieved_qps\":" << achieved_qps
       << ",\"mean_wave\":" << mean(wave_sizes)

@@ -1,8 +1,9 @@
 #include "sparse/ops.h"
 
-#include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "tensor/vec/vec.h"
@@ -90,9 +91,31 @@ std::vector<std::uint32_t> touched_columns(const CsrMatrix& x) {
 }
 
 void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out) {
-  out.assign(x.col_idx().begin(), x.col_idx().end());
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
+  std::vector<std::uint64_t> bits;
+  touched_columns(x, out, bits);
+}
+
+void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out,
+                     std::vector<std::uint64_t>& bits) {
+  // One bit per column id, then an in-order walk of the set bits: the ids
+  // come out sorted and unique in O(nnz + cols/64), with no sort. Each word
+  // is cleared as it is read, so `bits` is all zero again on return.
+  const std::size_t words = (x.cols() + 63) / 64;
+  if (bits.size() < words) bits.resize(words, 0);
+  for (const auto c : x.col_idx()) {
+    assert(c < x.cols());
+    bits[c >> 6] |= std::uint64_t{1} << (c & 63);
+  }
+  out.clear();
+  for (std::size_t w = 0; w < words; ++w) {
+    std::uint64_t word = bits[w];
+    if (word == 0) continue;
+    bits[w] = 0;
+    const auto base = static_cast<std::uint32_t>(w * 64);
+    for (; word != 0; word &= word - 1) {
+      out.push_back(base + static_cast<std::uint32_t>(std::countr_zero(word)));
+    }
+  }
 }
 
 std::size_t spmm_flops(const CsrMatrix& x, std::size_t w_cols) {

@@ -8,6 +8,7 @@
 // sparse-data source of GPU heterogeneity the paper exploits (Section I).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "sparse/csr.h"
@@ -38,10 +39,15 @@ void spmm_t_accumulate(const CsrMatrix& x, const tensor::Matrix& d,
                        tensor::Matrix& g, const kernels::Context& ctx);
 
 /// Sorted, deduplicated column ids with at least one non-zero in `x` — the
-/// set of W1 rows a batch touches. The out-parameter overload reuses the
-/// caller's buffer (no per-batch allocation on the hot path).
+/// set of W1 rows a batch touches. Built from a column bitmap in
+/// O(nnz + x.cols()/64). The out-parameter overloads reuse the caller's
+/// buffer; the one taking `bits` also reuses the caller's bitmap, which must
+/// be all zero on entry and is all zero again on return (no per-batch
+/// allocation on the hot path).
 std::vector<std::uint32_t> touched_columns(const CsrMatrix& x);
 void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out);
+void touched_columns(const CsrMatrix& x, std::vector<std::uint32_t>& out,
+                     std::vector<std::uint64_t>& bits);
 
 /// Flop count of spmm (2 * nnz * w_cols). Used by the simulator cost model.
 std::size_t spmm_flops(const CsrMatrix& x, std::size_t w_cols);
@@ -51,7 +57,7 @@ std::size_t spmm_flops(const CsrMatrix& x, std::size_t w_cols);
 std::size_t spmm_bytes(const CsrMatrix& x, std::size_t w_cols);
 
 /// Dense row count of the gradient touched by X (number of distinct columns
-/// with at least one non-zero). O(nnz log nnz).
+/// with at least one non-zero). O(nnz + x.cols()/64).
 std::size_t distinct_columns(const CsrMatrix& x);
 
 /// Explicit transpose: returns Xᵀ as a new CSR matrix (classic two-pass

@@ -38,7 +38,7 @@ void RowSet::sorted_rows(std::vector<std::uint32_t>& out) const {
 }
 
 void SparseGradient::reset(const CsrMatrix& x, std::size_t cols) {
-  touched_columns(x, scratch_);
+  touched_columns(x, scratch_, col_bits_);
   reset(x.cols(), cols, scratch_);
 }
 

@@ -73,8 +73,9 @@ class SparseGradient {
 
   /// Re-keys to the rows touched by `x` (its distinct non-zero columns) over
   /// a logical (x.cols() x cols) matrix and zeroes the packed values.
-  /// Amortized O(batch nnz log nnz): no work proportional to x.cols() after
-  /// the first call with a given row space.
+  /// O(batch nnz + x.cols()/64): the touched-column bitmap walk is the
+  /// only work proportional to x.cols(), and nothing is allocated after the
+  /// first call with a given row space.
   void reset(const CsrMatrix& x, std::size_t cols);
 
   /// Re-keys to an explicit sorted, deduplicated row set.
@@ -136,6 +137,8 @@ class SparseGradient {
   std::vector<float> values_;            // packed num_rows x cols
   std::vector<std::uint32_t> slot_map_;  // logical row -> slot or kNoSlot
   std::vector<std::uint32_t> scratch_;   // touched-column buffer (reused)
+  std::vector<std::uint64_t> col_bits_;  // touched-column bitmap, all zero
+                                         // between resets (reused)
 };
 
 }  // namespace hetero::sparse

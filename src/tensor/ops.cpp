@@ -69,17 +69,13 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c,
   const std::size_t m = a.rows(), k = a.cols(), n = b.rows();
   c.resize(m, n, 0.0f);
   const auto& vk = vec::kernels();
-  // Each C element is an inner product over k. dot_f32 uses the fixed
-  // 8-virtual-lane accumulator, so the sum is identical on every ISA (and
-  // independent of the thread partition, which never splits a row).
+  // Each C element is the dot_f32 of its two rows: the register-tiled
+  // kernel keeps one fixed 8-virtual-lane accumulator per output, so the
+  // sum is identical on every ISA and independent of the thread partition
+  // (which never splits a row, and only moves rows in or out of a tile).
   parallel_for_ranges(ctx, m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    for (std::size_t i = i0; i < i1; ++i) {
-      const float* ai = a.data() + i * k;
-      float* ci = c.data() + i * n;
-      for (std::size_t j = 0; j < n; ++j) {
-        ci[j] = vk.dot_f32(ai, b.data() + j * k, k);
-      }
-    }
+    vk.gemm_a_bt(a.data() + i0 * k, b.data(), c.data() + i0 * n, i1 - i0, n,
+                 k);
   });
 }
 
@@ -116,17 +112,20 @@ void relu_backward(const Matrix& activation, Matrix& grad) {
 }
 
 void softmax_rows(Matrix& m) {
+  const auto& vk = vec::kernels();
+  const std::size_t n = m.cols();
   for (std::size_t i = 0; i < m.rows(); ++i) {
-    float* row = m.data() + i * m.cols();
-    float mx = row[0];
-    for (std::size_t j = 1; j < m.cols(); ++j) mx = std::max(mx, row[j]);
+    float* row = m.data() + i * n;
+    // The lane max may differ from a serial max only in the sign of a zero
+    // or in whether a NaN is kept; neither changes one output bit
+    // (DESIGN.md §9). exp and the sum stay scalar and serial: both fix bits.
+    const float mx = vk.max(row, n);
     float sum = 0.0f;
-    for (std::size_t j = 0; j < m.cols(); ++j) {
+    for (std::size_t j = 0; j < n; ++j) {
       row[j] = std::exp(row[j] - mx);
       sum += row[j];
     }
-    const float inv = 1.0f / sum;
-    for (std::size_t j = 0; j < m.cols(); ++j) row[j] *= inv;
+    vk.scale(row, 1.0f / sum, n);
   }
 }
 

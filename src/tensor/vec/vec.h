@@ -24,6 +24,10 @@
 //    uses one 8-float ymm (or two 4-double ymm); AVX-512 deliberately
 //    sticks to the same 8-lane shape (256-bit accumulators for float,
 //    one 8-double zmm) so the sums match AVX2 and scalar bit for bit.
+//    gemm_a_bt keeps one such accumulator per output of its register tile,
+//    so a tiled output equals the dot_f32 of its two rows. The max-style
+//    reductions (absmax, max) use the same lanes and tree with the maxps
+//    expression (m > a) ? m : a in place of the add.
 //
 // ISA selection order: HETERO_ISA environment variable (scalar|avx2|avx512)
 // if set, else the best ISA both compiled in and reported by cpuid.
@@ -102,6 +106,15 @@ struct VecKernels {
   float (*dot_f32)(const float* a, const float* b, std::size_t n);
   double (*dot_f64)(const float* a, const float* b, std::size_t n);
   double (*sum_squares)(const float* x, std::size_t n);
+  // max over x[i] (-inf when n == 0); the absmax lane shape and tree
+  // without the abs, maxps expression (m > a) ? m : a at every site
+  float (*max)(const float* x, std::size_t n);
+  // c[i*n + j] = dot_f32(a + i*k, b + j*k, k) for the row-major m x k A and
+  // n x k B (C = A * B^T). A 4x2 register tile shares each pass over k
+  // between 8 outputs, each on its own 8-lane accumulator, so every output
+  // is bit-identical to the per-output dot_f32 call.
+  void (*gemm_a_bt)(const float* a, const float* b, float* c, std::size_t m,
+                    std::size_t n, std::size_t k);
 
   // Fused-merge building blocks over a double accumulator block
   // (core/merging.cpp, comm/allreduce.cpp). Element-wise in double.

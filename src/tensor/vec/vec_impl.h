@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "tensor/vec/vec.h"
 
@@ -156,6 +157,23 @@ inline double reduce_tree8d(const double* l) {
   return u0 + u1;
 }
 
+// Finishes a float dot product whose 8-lane accumulator `acc` has consumed
+// a[0, i) * b[0, i) for a multiple of 8 i: the tail element i + t belongs
+// to lane t — same accumulation expression, scalar this time — then the
+// lanes are combined with reduce_tree8. dot_f32 and every tiled output of
+// gemm_a_bt end here, so they finish identically.
+template <class RF>
+float finish_dot_f32(const RF* acc, const float* a, const float* b,
+                     std::size_t i, std::size_t n) {
+  constexpr std::size_t W = RF::kWidth;
+  alignas(32) float lanes[8];
+  for (std::size_t k = 0; k < 8 / W; ++k) acc[k].store(lanes + k * W);
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    lanes[l] = lanes[l] + a[i] * b[i];
+  }
+  return reduce_tree8(lanes);
+}
+
 // sum_p a[p] * b[p] in float (gemm_a_bt inner product).
 template <class RF>
 float dot_f32(const float* a, const float* b, std::size_t n) {
@@ -170,14 +188,71 @@ float dot_f32(const float* a, const float* b, std::size_t n) {
       acc[k] = acc[k] + RF::load(a + i + k * W) * RF::load(b + i + k * W);
     }
   }
-  alignas(32) float lanes[8];
-  for (std::size_t k = 0; k < kAcc; ++k) acc[k].store(lanes + k * W);
-  // The main loop consumed a multiple of 8, so tail element t belongs to
-  // lane t — same accumulation expression, scalar this time.
-  for (std::size_t l = 0; i < n; ++i, ++l) {
-    lanes[l] = lanes[l] + a[i] * b[i];
+  return finish_dot_f32(acc, a, b, i, n);
+}
+
+// C = A * B^T (tensor::gemm_a_bt) for row-major A (m x k) and B (n x k).
+// A 4x2 register tile walks rows i..i+3 of A against rows j, j+1 of B in
+// one pass over k. Each of its 8 outputs keeps its own 8-lane accumulator,
+// adds a[p] * b[p] in ascending p exactly as dot_f32's main loop does
+// (element p in lane p mod 8) and ends in the same finish_dot_f32, so the
+// tile changes how often each row is loaded, never a sum: every output
+// equals dot_f32 of its two rows bit for bit. Rows and columns left over
+// from the tile call dot_f32 itself.
+template <class RF>
+void gemm_a_bt(const float* a, const float* b, float* c, std::size_t m,
+               std::size_t n, std::size_t k) {
+  constexpr std::size_t W = RF::kWidth;
+  static_assert(W <= 8 && 8 % W == 0, "reduction lanes must tile 8");
+  constexpr std::size_t kAcc = 8 / W;
+  constexpr std::size_t kMr = 4, kNr = 2;
+  const std::size_t k8 = k - k % 8;
+  std::size_t i = 0;
+  for (; i + kMr <= m; i += kMr) {
+    const float* ar[kMr];
+    for (std::size_t r = 0; r < kMr; ++r) ar[r] = a + (i + r) * k;
+    std::size_t j = 0;
+    for (; j + kNr <= n; j += kNr) {
+      const float* br[kNr];
+      for (std::size_t s = 0; s < kNr; ++s) br[s] = b + (j + s) * k;
+      RF acc[kMr][kNr][kAcc];
+      for (auto& rs : acc) {
+        for (auto& ss : rs) {
+          for (auto& v : ss) v = RF::zero();
+        }
+      }
+      for (std::size_t p = 0; p < k8; p += 8) {
+        for (std::size_t q = 0; q < kAcc; ++q) {
+          RF bv[kNr];
+          for (std::size_t s = 0; s < kNr; ++s) {
+            bv[s] = RF::load(br[s] + p + q * W);
+          }
+          for (std::size_t r = 0; r < kMr; ++r) {
+            const RF av = RF::load(ar[r] + p + q * W);
+            for (std::size_t s = 0; s < kNr; ++s) {
+              acc[r][s][q] = acc[r][s][q] + av * bv[s];
+            }
+          }
+        }
+      }
+      for (std::size_t r = 0; r < kMr; ++r) {
+        for (std::size_t s = 0; s < kNr; ++s) {
+          c[(i + r) * n + j + s] =
+              finish_dot_f32(acc[r][s], ar[r], br[s], k8, k);
+        }
+      }
+    }
+    for (; j < n; ++j) {
+      for (std::size_t r = 0; r < kMr; ++r) {
+        c[(i + r) * n + j] = dot_f32<RF>(ar[r], b + j * k, k);
+      }
+    }
   }
-  return reduce_tree8(lanes);
+  for (; i < m; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      c[i * n + j] = dot_f32<RF>(a + i * k, b + j * k, k);
+    }
+  }
 }
 
 // sum_p double(a[p]) * b[p] (tensor::dot).
@@ -331,6 +406,18 @@ void ef_delta(const float* w, const float* g, float* r, std::size_t n) {
   }
 }
 
+// The reduce_tree8 shape with the maxps expression (m > a) ? m : a at every
+// site in place of the add.
+inline float max_tree8(const float* l) {
+  const float t0 = l[0] > l[4] ? l[0] : l[4];
+  const float t1 = l[1] > l[5] ? l[1] : l[5];
+  const float t2 = l[2] > l[6] ? l[2] : l[6];
+  const float t3 = l[3] > l[7] ? l[3] : l[7];
+  const float u0 = t0 > t2 ? t0 : t2;
+  const float u1 = t1 > t3 ? t1 : t3;
+  return u0 > u1 ? u0 : u1;
+}
+
 // max over |x[i]|; 0 when n == 0. Fixed 8-virtual-lane accumulator like the
 // sum reductions, combined with the same fixed tree — but using the maxps
 // expression (m > a) ? m : a at every site, so all ISAs agree bit for bit.
@@ -353,13 +440,33 @@ float absmax(const float* x, std::size_t n) {
     const float a = std::fabs(x[i]);
     lanes[l] = lanes[l] > a ? lanes[l] : a;
   }
-  const float t0 = lanes[0] > lanes[4] ? lanes[0] : lanes[4];
-  const float t1 = lanes[1] > lanes[5] ? lanes[1] : lanes[5];
-  const float t2 = lanes[2] > lanes[6] ? lanes[2] : lanes[6];
-  const float t3 = lanes[3] > lanes[7] ? lanes[3] : lanes[7];
-  const float u0 = t0 > t2 ? t0 : t2;
-  const float u1 = t1 > t3 ? t1 : t3;
-  return u0 > u1 ? u0 : u1;
+  return max_tree8(lanes);
+}
+
+// max over x[i]; -inf when n == 0. absmax without the abs, its lanes
+// starting at -inf (tensor::softmax_rows' row max). Against a serial
+// std::max chain it can differ only in the sign of a zero max and in
+// whether a NaN is kept (DESIGN.md §9 shows why softmax cannot see either).
+template <class RF>
+float max(const float* x, std::size_t n) {
+  constexpr std::size_t W = RF::kWidth;
+  static_assert(W <= 8 && 8 % W == 0, "reduction lanes must tile 8");
+  constexpr std::size_t kAcc = 8 / W;
+  constexpr float kLow = -std::numeric_limits<float>::infinity();
+  RF acc[kAcc];
+  for (auto& v : acc) v = RF::broadcast(kLow);
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    for (std::size_t k = 0; k < kAcc; ++k) {
+      acc[k] = RF::max(acc[k], RF::load(x + i + k * W));
+    }
+  }
+  alignas(32) float lanes[8];
+  for (std::size_t k = 0; k < kAcc; ++k) acc[k].store(lanes + k * W);
+  for (std::size_t l = 0; i < n; ++i, ++l) {
+    lanes[l] = lanes[l] > x[i] ? lanes[l] : x[i];
+  }
+  return max_tree8(lanes);
 }
 
 // q[i] = half(x[i] * scale), round-to-nearest-even; returns the number of
@@ -613,6 +720,8 @@ VecKernels make_table(Isa isa) {
   t.dot_f32 = &dot_f32<RF>;
   t.dot_f64 = &dot_f64<VD>;
   t.sum_squares = &sum_squares<VD>;
+  t.max = &max<RF>;
+  t.gemm_a_bt = &gemm_a_bt<RF>;
   t.merge_init = &merge_init<VD>;
   t.merge_accum = &merge_accum<VD>;
   t.merge_store = &merge_store<VD>;

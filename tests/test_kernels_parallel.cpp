@@ -293,5 +293,66 @@ TEST(ParallelKernels, TouchedColumnsMatchesDistinctColumns) {
   }
 }
 
+// The sort+unique touched_columns used to run, kept as the oracle for the
+// bitmap walk.
+std::vector<std::uint32_t> sort_unique_columns(const sparse::CsrMatrix& x) {
+  std::vector<std::uint32_t> cols(x.col_idx().begin(), x.col_idx().end());
+  std::sort(cols.begin(), cols.end());
+  cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+  return cols;
+}
+
+TEST(ParallelKernels, TouchedColumnsBitmapMatchesSortUnique) {
+  std::vector<sparse::CsrMatrix> batches;
+  // Empty batch: no rows at all, then rows without a non-zero.
+  batches.emplace_back(0, 70, std::vector<std::size_t>{0},
+                       std::vector<std::uint32_t>{}, std::vector<float>{});
+  batches.emplace_back(3, 70, std::vector<std::size_t>{0, 0, 0, 0},
+                       std::vector<std::uint32_t>{}, std::vector<float>{});
+  // Duplicate ids across and within rows, unsorted, with column cols() - 1
+  // on a cols() that is not a multiple of 64 (the last word's top bit stays
+  // clear) and a second id in the last word.
+  batches.emplace_back(
+      3, 130, std::vector<std::size_t>{0, 4, 7, 10},
+      std::vector<std::uint32_t>{129, 5, 64, 5, 63, 129, 0, 64, 128, 63},
+      std::vector<float>(10, 1.0f));
+  // cols() == 1 and cols() == 64 (exactly one word; id 63 is the top bit).
+  batches.emplace_back(2, 1, std::vector<std::size_t>{0, 1, 2},
+                       std::vector<std::uint32_t>{0, 0},
+                       std::vector<float>(2, 1.0f));
+  batches.emplace_back(1, 64, std::vector<std::size_t>{0, 2},
+                       std::vector<std::uint32_t>{63, 0},
+                       std::vector<float>(2, 1.0f));
+  util::Rng rng(57);
+  for (const std::size_t cols : {std::size_t{65}, std::size_t{200},
+                                 std::size_t{4097}}) {
+    batches.push_back(fuzz_csr(1 + rng.next_below(9), cols, 0.05, rng));
+  }
+
+  // One bitmap reused across every batch, wider and narrower ones in turn:
+  // each call must leave it all zero for the next.
+  std::vector<std::uint64_t> bits;
+  std::vector<std::uint32_t> out;
+  for (const auto& x : batches) {
+    const auto ref = sort_unique_columns(x);
+    sparse::touched_columns(x, out, bits);
+    EXPECT_EQ(ref, out) << "rows=" << x.rows() << " cols=" << x.cols();
+    EXPECT_TRUE(std::all_of(bits.begin(), bits.end(),
+                            [](std::uint64_t w) { return w == 0; }))
+        << "bitmap left dirty at cols=" << x.cols();
+    EXPECT_EQ(ref, sparse::touched_columns(x));
+    EXPECT_EQ(ref.size(), sparse::distinct_columns(x));
+  }
+
+  // SparseGradient keys its rows through the same walk.
+  sparse::SparseGradient g;
+  for (const auto& x : batches) {
+    g.reset(x, 3);
+    const auto ref = sort_unique_columns(x);
+    EXPECT_TRUE(std::equal(ref.begin(), ref.end(), g.rows().begin(),
+                           g.rows().end()));
+  }
+}
+
 }  // namespace
 }  // namespace hetero

@@ -2,10 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <tuple>
+#include <vector>
 
 #include "tensor/matrix.h"
+#include "tensor/vec/vec.h"
 #include "util/rng.h"
 
 namespace hetero::tensor {
@@ -191,6 +196,83 @@ TEST(Ops, SoftmaxPreservesOrder) {
   m(0, 3) = 0.5f;
   softmax_rows(m);
   EXPECT_EQ(argmax(m.row(0)), 1u);
+}
+
+// softmax_rows as it was before its max pass went through the vec table: a
+// serial std::max chain, scalar exp and sum, a scalar `*= inv` pass. Kept as
+// the bit-identity oracle for the vectorized passes.
+void reference_softmax_rows(Matrix& m) {
+  for (std::size_t i = 0; i < m.rows(); ++i) {
+    float* row = m.data() + i * m.cols();
+    float mx = row[0];
+    for (std::size_t j = 1; j < m.cols(); ++j) mx = std::max(mx, row[j]);
+    float sum = 0.0f;
+    for (std::size_t j = 0; j < m.cols(); ++j) {
+      row[j] = std::exp(row[j] - mx);
+      sum += row[j];
+    }
+    const float inv = 1.0f / sum;
+    for (std::size_t j = 0; j < m.cols(); ++j) row[j] *= inv;
+  }
+}
+
+TEST(Ops, SoftmaxRowsBitIdenticalToSerialReference) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  util::Rng rng(21);
+  // Rows of 19 (two full 8-lane passes plus a 3-element tail) cover the
+  // max pass's lane and tail paths; each edge row starts from random values.
+  std::vector<Matrix> cases;
+  auto row_case = [&](auto&& edit) {
+    Matrix m = random_matrix(1, 19, rng);
+    edit(m);
+    cases.push_back(std::move(m));
+  };
+  row_case([&](Matrix& m) { m(0, 0) = nan; });             // NaN first
+  row_case([&](Matrix& m) { m(0, 11) = nan; });            // NaN later
+  row_case([&](Matrix& m) { m(0, 18) = nan; });            // NaN in the tail
+  row_case([&](Matrix& m) { m(0, 5) = inf; });             // +inf
+  row_case([&](Matrix& m) { m.fill(-inf); });              // all -inf
+  row_case([&](Matrix& m) {                                // max +0 (and -0)
+    for (auto& v : m.flat()) v = -std::abs(v) - 0.5f;
+    m(0, 3) = -0.0f;
+    m(0, 12) = 0.0f;
+  });
+  row_case([&](Matrix& m) {                                // max -0 only
+    for (auto& v : m.flat()) v = -std::abs(v) - 0.5f;
+    m(0, 0) = -0.0f;
+    m(0, 17) = -0.0f;
+  });
+  row_case([&](Matrix& m) {                                // max +0 first
+    for (auto& v : m.flat()) v = -std::abs(v) - 0.5f;
+    m(0, 0) = 0.0f;
+    m(0, 9) = -0.0f;
+  });
+  Matrix single(4, 1);                                     // single column
+  single(0, 0) = 3.5f;
+  single(1, 0) = -0.0f;
+  single(2, 0) = nan;
+  single(3, 0) = -inf;
+  cases.push_back(single);
+  cases.push_back(random_matrix(5, 1024, rng));            // the train shape
+  cases.push_back(random_matrix(3, 7, rng));               // tail only
+
+  const vec::Isa saved = vec::active_isa();
+  for (const auto isa :
+       {vec::Isa::kScalar, vec::Isa::kAvx2, vec::Isa::kAvx512}) {
+    if (!vec::isa_supported(isa)) continue;
+    vec::set_isa(isa);
+    for (std::size_t c = 0; c < cases.size(); ++c) {
+      Matrix ref = cases[c];
+      Matrix got = cases[c];
+      reference_softmax_rows(ref);
+      softmax_rows(got);
+      EXPECT_EQ(0, std::memcmp(ref.data(), got.data(),
+                               ref.size() * sizeof(float)))
+          << "case " << c << " on " << vec::isa_name(isa);
+    }
+  }
+  vec::set_isa(saved);
 }
 
 TEST(Ops, ColumnSums) {

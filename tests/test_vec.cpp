@@ -204,17 +204,79 @@ TEST_F(VecBitIdentity, Reductions) {
     const float f_ref = scalar_.dot_f32(x.data(), y.data(), n);
     const double d_ref = scalar_.dot_f64(x.data(), y.data(), n);
     const double s_ref = scalar_.sum_squares(x.data(), n);
+    const float m_ref = scalar_.max(x.data(), n);
     for (const auto isa : isas_) {
       const auto& vk = *vec::kernels_for(isa);
       const float f = vk.dot_f32(x.data(), y.data(), n);
       const double d = vk.dot_f64(x.data(), y.data(), n);
       const double s = vk.sum_squares(x.data(), n);
+      const float mx = vk.max(x.data(), n);
+      EXPECT_EQ(0, std::memcmp(&m_ref, &mx, sizeof(float)))
+          << "max on " << vec::isa_name(isa) << " at n=" << n;
       EXPECT_EQ(0, std::memcmp(&f_ref, &f, sizeof(float)))
           << "dot_f32 on " << vec::isa_name(isa) << " at n=" << n;
       EXPECT_EQ(0, std::memcmp(&d_ref, &d, sizeof(double)))
           << "dot_f64 on " << vec::isa_name(isa) << " at n=" << n;
       EXPECT_EQ(0, std::memcmp(&s_ref, &s, sizeof(double)))
           << "sum_squares on " << vec::isa_name(isa) << " at n=" << n;
+    }
+  }
+}
+
+TEST_F(VecBitIdentity, MaxOnIeeeEdgeValues) {
+  const float qnan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  const float denorm = std::numeric_limits<float>::denorm_min();
+  const std::vector<float> edge = {0.0f, -0.0f, qnan,   -qnan, inf,
+                                   -inf, denorm, -denorm, -1.5f};
+  // Every rotation of the edge values over 9 and 17 elements moves each
+  // value through every lane and the tail.
+  for (const std::size_t n : {std::size_t{9}, std::size_t{17}}) {
+    for (std::size_t rot = 0; rot < edge.size(); ++rot) {
+      std::vector<float> x(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        x[i] = edge[(i + rot) % edge.size()];
+      }
+      const float ref = scalar_.max(x.data(), n);
+      for (const auto isa : isas_) {
+        const float got = vec::kernels_for(isa)->max(x.data(), n);
+        EXPECT_EQ(0, std::memcmp(&ref, &got, sizeof(float)))
+            << "max(edge) on " << vec::isa_name(isa) << " n=" << n
+            << " rotation=" << rot;
+      }
+    }
+  }
+  const auto& vk = *vec::kernels_for(vec::active_isa());
+  EXPECT_EQ(-inf, vk.max(nullptr, 0));
+  const std::vector<float> neg = {-3.0f, -inf, -2.5f, -7.0f};
+  EXPECT_EQ(-2.5f, vk.max(neg.data(), neg.size()));
+  const std::vector<float> all_low(11, -inf);
+  EXPECT_EQ(-inf, vk.max(all_low.data(), all_low.size()));
+}
+
+// (m, n, k) shapes for gemm_a_bt: exact 4x2 tiles, m % 4 != 0, n % 2 != 0,
+// k % 8 != 0, k < 8, k == 0, and m or n == 0.
+const std::size_t kGemmABtShapes[][3] = {
+    {8, 4, 16}, {7, 5, 19}, {5, 3, 8},  {4, 2, 7},    {9, 7, 3},
+    {6, 1, 1},  {1, 6, 33}, {3, 3, 0},  {0, 5, 9},    {5, 0, 9},
+    {13, 11, 100}, {4, 2, 513}};
+
+TEST_F(VecBitIdentity, GemmABtMatchesPerOutputDot) {
+  for (const auto& [m, n, k] : kGemmABtShapes) {
+    const auto a = fuzz_floats(m * k, rng_);
+    const auto b = fuzz_floats(n * k, rng_);
+    // The oracle: one scalar dot_f32 call per output.
+    std::vector<float> ref(m * n);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        ref[i * n + j] = scalar_.dot_f32(a.data() + i * k, b.data() + j * k, k);
+      }
+    }
+    for (const auto isa : isas_) {
+      std::vector<float> got(m * n, std::numeric_limits<float>::quiet_NaN());
+      vec::kernels_for(isa)->gemm_a_bt(a.data(), b.data(), got.data(), m, n,
+                                       k);
+      expect_same_bits(ref, got, "gemm_a_bt", isa, m * 10000 + n * 100 + k);
     }
   }
 }
@@ -469,6 +531,7 @@ kernels::Context eager_ctx(util::ThreadPool& pool, std::size_t threads) {
 void expect_bit_identical(const tensor::Matrix& a, const tensor::Matrix& b,
                           const char* what, vec::Isa isa, std::size_t t) {
   ASSERT_TRUE(a.same_shape(b));
+  if (a.size() == 0) return;  // empty matrices hand memcmp null, which is UB
   ASSERT_EQ(0, std::memcmp(a.data(), b.data(), a.size() * sizeof(float)))
       << what << " differs on " << vec::isa_name(isa) << " threads=" << t;
 }
@@ -506,6 +569,35 @@ TEST(VecEndToEnd, SpmmAndGemmAcrossIsaAndThreads) {
         expect_bit_identical(g_ref, g, "spmm_t_accumulate", isa, t);
         tensor::gemm_a_bt(a, bt, c, eager_ctx(pool, t));
         expect_bit_identical(c_ref, c, "gemm_a_bt", isa, t);
+      }
+    }
+  }
+}
+
+TEST(VecEndToEnd, GemmABtTiledAcrossIsaAndThreads) {
+  IsaGuard guard;
+  util::ThreadPool pool(4);
+  util::Rng rng(54);
+  const std::size_t thread_counts[] = {1, 2, 3, 4, 9, 16};
+  const auto& scalar = *vec::kernels_for(vec::Isa::kScalar);
+  for (const auto& [m, n, k] : kGemmABtShapes) {
+    const auto a = fuzz_matrix(m, k, rng);
+    const auto bt = fuzz_matrix(n, k, rng);
+    tensor::Matrix c_ref(m, n);
+    for (std::size_t i = 0; i < m; ++i) {
+      for (std::size_t j = 0; j < n; ++j) {
+        c_ref(i, j) = scalar.dot_f32(a.data() + i * k, bt.data() + j * k, k);
+      }
+    }
+    for (const auto isa : available_isas()) {
+      vec::set_isa(isa);
+      tensor::Matrix c;
+      tensor::gemm_a_bt(a, bt, c);  // inline
+      expect_bit_identical(c_ref, c, "gemm_a_bt(inline)", isa, 0);
+      // Thread partitions move rows in and out of the 4-row tiles.
+      for (const auto t : thread_counts) {
+        tensor::gemm_a_bt(a, bt, c, eager_ctx(pool, t));
+        expect_bit_identical(c_ref, c, "gemm_a_bt(threaded)", isa, t);
       }
     }
   }
