@@ -78,6 +78,24 @@ void BM_Spmm(benchmark::State& state) {
 }
 BENCHMARK(BM_Spmm)->Arg(32)->Arg(128)->Arg(512);
 
+// The train_step forward product at its real shape: a 128-row batch over
+// 4096 features at 76 nnz/row into hidden 48 (spmm_row, one strip).
+void BM_SpmmTrainStep(benchmark::State& state) {
+  const auto x = make_sparse_batch(128, 4096, 76, 1);
+  util::Rng rng(2);
+  tensor::Matrix w(4096, 48);
+  tensor::init_gaussian(w, 0.05, rng);
+  tensor::Matrix y;
+  for (auto _ : state) {
+    sparse::spmm(x, w, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.nnz()) * 48);
+}
+BENCHMARK(BM_SpmmTrainStep)->Name("BM_Spmm/train_step");
+
 // Threads x sparsity sweep of the parallel spmm. Args: {threads, nnz/row}.
 void BM_SpmmParallel(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
@@ -483,6 +501,38 @@ void run_sgd_apply_isa(benchmark::State& state, vec::Isa isa) {
                           static_cast<std::int64_t>(g.num_rows()) * 64);
 }
 
+// exp_shifted over a 128 x 1024 logit block (softmax's exp pass at the
+// train_step shape), straight through the ISA's table.
+void run_exp_shifted_isa(benchmark::State& state, vec::Isa isa) {
+  const auto& vk = *vec::kernels_for(isa);
+  util::Rng rng(12);
+  std::vector<float> x(128 * 1024), y(x.size());
+  for (auto& v : x) v = static_cast<float>(rng.uniform(-20.0, 0.0));
+  for (auto _ : state) {
+    vk.exp_shifted(x.data(), 0.5f, y.data(), x.size());
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(x.size()));
+}
+
+// softmax_rows on 128 x 1024 logits (the train_step output layer).
+void run_softmax_rows_isa(benchmark::State& state, vec::Isa isa) {
+  const IsaScope scope(isa);
+  util::Rng rng(6);
+  tensor::Matrix logits(128, 1024);
+  tensor::init_gaussian(logits, 1.0, rng);
+  tensor::Matrix scratch = logits;
+  for (auto _ : state) {
+    scratch = logits;
+    tensor::softmax_rows(scratch);
+    benchmark::DoNotOptimize(scratch.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 128 * 1024);
+}
+
 void register_isa_benchmarks() {
   for (const vec::Isa isa :
        {vec::Isa::kScalar, vec::Isa::kAvx2, vec::Isa::kAvx512}) {
@@ -498,6 +548,10 @@ void register_isa_benchmarks() {
                                  run_merge_isa, isa);
     benchmark::RegisterBenchmark(("BM_SgdApplyIsa/" + tag).c_str(),
                                  run_sgd_apply_isa, isa);
+    benchmark::RegisterBenchmark(("BM_ExpShiftedIsa/" + tag).c_str(),
+                                 run_exp_shifted_isa, isa);
+    benchmark::RegisterBenchmark(("BM_SoftmaxRowsIsa/" + tag).c_str(),
+                                 run_softmax_rows_isa, isa);
   }
 }
 

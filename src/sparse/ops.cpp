@@ -23,15 +23,13 @@ void spmm(const CsrMatrix& x, const tensor::Matrix& w, tensor::Matrix& y,
   const std::size_t work = x.nnz() * h;
   const auto& vk = vec::kernels();
 
+  // Each output row accumulates its nonzeros in order in registers: the
+  // same per-element sums as one axpy per nonzero (vec.h spmm_row).
   const auto run_rows = [&](std::size_t r0, std::size_t r1) {
     for (std::size_t r = r0; r < r1; ++r) {
-      float* yr = y.data() + r * h;
       const auto cols = x.row_cols(r);
-      const auto vals = x.row_values(r);
-      for (std::size_t i = 0; i < cols.size(); ++i) {
-        vk.axpy(vals[i],
-                w.data() + static_cast<std::size_t>(cols[i]) * h, yr, h);
-      }
+      vk.spmm_row(x.row_values(r).data(), cols.data(), cols.size(), w.data(),
+                  h, y.data() + r * h);
     }
   };
 

@@ -111,22 +111,39 @@ void relu_backward(const Matrix& activation, Matrix& grad) {
   vec::kernels().relu_backward(activation.data(), grad.data(), grad.size());
 }
 
+namespace {
+
+// Softmax of B consecutive rows of width n. The lane max may differ from a
+// serial max only in the sign of a zero or in whether a NaN is kept, and
+// exp_shifted equals std::exp; neither changes one output bit (DESIGN.md
+// §9). Each row sum still adds its row in ascending j; the B sums run as B
+// interleaved chains, so they no longer wait on one add latency each.
+template <std::size_t B>
+void softmax_block(const vec::VecKernels& vk, float* rows, std::size_t n) {
+  for (std::size_t r = 0; r < B; ++r) {
+    float* row = rows + r * n;
+    vk.exp_shifted(row, vk.max(row, n), row, n);
+  }
+  float sum[B] = {};
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t r = 0; r < B; ++r) sum[r] += rows[r * n + j];
+  }
+  for (std::size_t r = 0; r < B; ++r) {
+    vk.scale(rows + r * n, 1.0f / sum[r], n);
+  }
+}
+
+}  // namespace
+
 void softmax_rows(Matrix& m) {
   const auto& vk = vec::kernels();
   const std::size_t n = m.cols();
-  for (std::size_t i = 0; i < m.rows(); ++i) {
-    float* row = m.data() + i * n;
-    // The lane max may differ from a serial max only in the sign of a zero
-    // or in whether a NaN is kept; neither changes one output bit
-    // (DESIGN.md §9). exp and the sum stay scalar and serial: both fix bits.
-    const float mx = vk.max(row, n);
-    float sum = 0.0f;
-    for (std::size_t j = 0; j < n; ++j) {
-      row[j] = std::exp(row[j] - mx);
-      sum += row[j];
-    }
-    vk.scale(row, 1.0f / sum, n);
+  constexpr std::size_t kBlock = 8;
+  std::size_t i = 0;
+  for (; i + kBlock <= m.rows(); i += kBlock) {
+    softmax_block<kBlock>(vk, m.data() + i * n, n);
   }
+  for (; i < m.rows(); ++i) softmax_block<1>(vk, m.data() + i * n, n);
 }
 
 void column_sums(const Matrix& m, std::span<float> out) {

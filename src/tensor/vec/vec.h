@@ -28,6 +28,9 @@
 //    so a tiled output equals the dot_f32 of its two rows. The max-style
 //    reductions (absmax, max) use the same lanes and tree with the maxps
 //    expression (m > a) ? m : a in place of the add.
+//  * exp_shifted is the one kernel with FMAs: its reference is libm's expf,
+//    and the SIMD bodies copy glibc's FMA code path for it (expf_glibc.h),
+//    pinned against std::exp on all 2^32 inputs by test_vec.
 //
 // ISA selection order: HETERO_ISA environment variable (scalar|avx2|avx512)
 // if set, else the best ISA both compiled in and reported by cpuid.
@@ -115,6 +118,19 @@ struct VecKernels {
   // is bit-identical to the per-output dot_f32 call.
   void (*gemm_a_bt)(const float* a, const float* b, float* c, std::size_t m,
                     std::size_t n, std::size_t k);
+
+  // Softmax and forward-product building blocks (DESIGN.md §9).
+  // y[i] = std::exp(x[i] - s), equal to libm's expf on every float input:
+  // the scalar table calls it, the SIMD tables restate glibc's expf code
+  // path (expf_glibc.h) with FMA exactly where libm uses it. x may equal y.
+  void (*exp_shifted)(const float* x, float s, float* y, std::size_t n);
+  // y[j] += sum_i v[i] * w[cols[i] * h + j] for i = 0..nnz-1 in ascending
+  // order (one CSR row of sparse::spmm against the row-major W with h
+  // columns). The output row stays in registers, 64 columns per strip;
+  // every element gets the same y + v[i] * w sequence as one axpy per
+  // nonzero.
+  void (*spmm_row)(const float* v, const std::uint32_t* cols,
+                   std::size_t nnz, const float* w, std::size_t h, float* y);
 
   // Fused-merge building blocks over a double accumulator block
   // (core/merging.cpp, comm/allreduce.cpp). Element-wise in double.

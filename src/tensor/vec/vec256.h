@@ -2,10 +2,11 @@
 //
 // Only compiled into the avx2/avx512 kernel TUs (CMake adds -mavx2 -mfma
 // -ffp-contract=off to exactly those sources). No fused operations are used
-// anywhere: bit-identity with the scalar table requires the same two
+// except in exp(): bit-identity with the scalar table requires the same two
 // roundings per mul+add as the scalar expression, and -ffp-contract=off
 // stops GCC from fusing the intrinsic mul/add pairs (they are plain vector
-// operators under the hood) on its own.
+// operators under the hood) on its own. exp() reproduces libm's own FMA
+// code path (expf_glibc.h), so there the FMAs are what keep the bits.
 //
 // Tail handling is masked: load_n/store_n use vmaskmov with a mask built
 // from a constant table, so element-wise kernels never read or write past
@@ -27,6 +28,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
+
+#include "tensor/vec/expf_glibc.h"
 
 namespace hetero::vec {
 
@@ -113,6 +117,33 @@ struct Avx2F {
         static_cast<unsigned>(_mm256_movemask_ps(cmp)) & 0xFFu));
   }
 
+  /// std::exp per lane, bit for bit: glibc's expf main path on two 4-lane
+  /// double halves, then its special results blended in (expf_glibc.h).
+  static Avx2F exp(Avx2F x) {
+#if HETERO_GLIBC_EXPF
+    namespace g = expf_glibc;
+    const __m128 lo =
+        expf_main(_mm256_cvtps_pd(_mm256_castps256_ps128(x.v)));
+    const __m128 hi =
+        expf_main(_mm256_cvtps_pd(_mm256_extractf128_ps(x.v, 1)));
+    __m256 y = _mm256_set_m128(hi, lo);
+    const __m256 under =
+        _mm256_cmp_ps(x.v, _mm256_set1_ps(g::kUnderflow), _CMP_LT_OQ);
+    const __m256 over =
+        _mm256_cmp_ps(x.v, _mm256_set1_ps(g::kOverflow), _CMP_GT_OQ);
+    const __m256 nan = _mm256_cmp_ps(x.v, x.v, _CMP_UNORD_Q);
+    y = _mm256_blendv_ps(y, _mm256_setzero_ps(), under);
+    y = _mm256_blendv_ps(
+        y, _mm256_set1_ps(std::numeric_limits<float>::infinity()), over);
+    return {_mm256_blendv_ps(y, _mm256_add_ps(x.v, x.v), nan)};
+#else
+    alignas(32) float lanes[8];
+    x.store(lanes);
+    for (float& l : lanes) l = std::exp(l);
+    return load(lanes);
+#endif
+  }
+
   /// 8 half-precision values widened to float (vcvtph2ps, exact).
   static Avx2F load_half(const std::uint16_t* p) {
     return {_mm256_cvtph_ps(
@@ -169,6 +200,31 @@ struct Avx2F {
     store_i8_rne(buf);
     std::memcpy(p, buf, n);
   }
+
+#if HETERO_GLIBC_EXPF
+  /// expf's main path on 4 lanes widened to double, step for step as in
+  /// expf_glibc.h; the 32-entry table is gathered.
+  static __m128 expf_main(__m256d xd) {
+    namespace g = expf_glibc;
+    const __m256d inv = _mm256_set1_pd(g::kInvLn2N);
+    const __m256d shift = _mm256_set1_pd(g::kShift);
+    __m256d kd = _mm256_fmadd_pd(xd, inv, shift);
+    const __m256i ki = _mm256_castpd_si256(kd);
+    kd = _mm256_sub_pd(kd, shift);
+    const __m256d r = _mm256_fmsub_pd(xd, inv, kd);
+    const __m256i idx = _mm256_and_si256(ki, _mm256_set1_epi64x(31));
+    const __m256i t = _mm256_add_epi64(
+        _mm256_i64gather_epi64(
+            reinterpret_cast<const long long*>(g::kTab), idx, 8),
+        _mm256_slli_epi64(ki, 52 - g::kTableBits));
+    const __m256d z =
+        _mm256_fmadd_pd(r, _mm256_set1_pd(g::kC0), _mm256_set1_pd(g::kC1));
+    __m256d y =
+        _mm256_fmadd_pd(r, _mm256_set1_pd(g::kC2), _mm256_set1_pd(1.0));
+    y = _mm256_fmadd_pd(z, _mm256_mul_pd(r, r), y);
+    return _mm256_cvtpd_ps(_mm256_mul_pd(y, _mm256_castsi256_pd(t)));
+  }
+#endif
 };
 
 /// 4-lane float vector (xmm). Only used as Avx2D::NarrowF in the mixed

@@ -2,10 +2,11 @@
 // registers, with native mask registers for the tails.
 //
 // Only compiled into the avx512 kernel TU (-mavx512f -mavx2 -mfma
-// -ffp-contract=off). Same no-FMA rule as vec256.h. Note the reductions in
-// the avx512 table do NOT use the 16-lane float type: the determinism
-// contract fixes the virtual accumulator at 8 lanes, so dot_f32 runs on
-// 256-bit registers even in the avx512 TU (see vec_impl.h), and the
+// -ffp-contract=off). Same no-FMA rule as vec256.h, with the same one
+// exception: exp() follows libm's FMA code path (expf_glibc.h). Note the
+// reductions in the avx512 table do NOT use the 16-lane float type: the
+// determinism contract fixes the virtual accumulator at 8 lanes, so dot_f32
+// runs on 256-bit registers even in the avx512 TU (see vec_impl.h), and the
 // double-precision reductions use exactly one 8-lane Avx512D accumulator.
 #pragma once
 
@@ -20,7 +21,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
+#include "tensor/vec/expf_glibc.h"
 #include "tensor/vec/vec256.h"  // Avx2F: the 8-lane reduction + NarrowF type
 
 namespace hetero::vec {
@@ -95,6 +98,34 @@ struct Avx512F {
         std::popcount(static_cast<unsigned>(cmp)));
   }
 
+  /// std::exp per lane, bit for bit: glibc's expf main path on two 8-lane
+  /// double halves, then its special results blended in (expf_glibc.h).
+  static Avx512F exp(Avx512F x) {
+#if HETERO_GLIBC_EXPF
+    namespace g = expf_glibc;
+    const __m256 lo = expf_main(_mm512_cvtps_pd(_mm512_castps512_ps256(x.v)));
+    const __m256 hi = expf_main(_mm512_cvtps_pd(_mm256_castpd_ps(
+        _mm512_extractf64x4_pd(_mm512_castps_pd(x.v), 1))));
+    __m512 y = _mm512_castpd_ps(
+        _mm512_insertf64x4(_mm512_castps_pd(_mm512_castps256_ps512(lo)),
+                           _mm256_castps_pd(hi), 1));
+    const __mmask16 under =
+        _mm512_cmp_ps_mask(x.v, _mm512_set1_ps(g::kUnderflow), _CMP_LT_OQ);
+    const __mmask16 over =
+        _mm512_cmp_ps_mask(x.v, _mm512_set1_ps(g::kOverflow), _CMP_GT_OQ);
+    const __mmask16 nan = _mm512_cmp_ps_mask(x.v, x.v, _CMP_UNORD_Q);
+    y = _mm512_mask_mov_ps(y, under, _mm512_setzero_ps());
+    y = _mm512_mask_mov_ps(
+        y, over, _mm512_set1_ps(std::numeric_limits<float>::infinity()));
+    return {_mm512_mask_add_ps(y, nan, x.v, x.v)};
+#else
+    alignas(64) float lanes[16];
+    x.store(lanes);
+    for (float& l : lanes) l = std::exp(l);
+    return load(lanes);
+#endif
+  }
+
   /// 16 half-precision values widened to float (vcvtph2ps, exact).
   static Avx512F load_half(const std::uint16_t* p) {
     return {_mm512_cvtph_ps(
@@ -147,6 +178,35 @@ struct Avx512F {
     store_i8_rne(buf);
     std::memcpy(p, buf, n);
   }
+
+#if HETERO_GLIBC_EXPF
+  /// expf's main path on 8 lanes widened to double, step for step as in
+  /// expf_glibc.h. The 32-entry table sits in four registers: each
+  /// permutex2var picks by index bits 0-3, index bit 4 picks the result.
+  static __m256 expf_main(__m512d xd) {
+    namespace g = expf_glibc;
+    const __m512d inv = _mm512_set1_pd(g::kInvLn2N);
+    const __m512d shift = _mm512_set1_pd(g::kShift);
+    __m512d kd = _mm512_fmadd_pd(xd, inv, shift);
+    const __m512i ki = _mm512_castpd_si512(kd);
+    kd = _mm512_sub_pd(kd, shift);
+    const __m512d r = _mm512_fmsub_pd(xd, inv, kd);
+    const __m512i t_lo = _mm512_permutex2var_epi64(
+        _mm512_load_si512(g::kTab), ki, _mm512_load_si512(g::kTab + 8));
+    const __m512i t_hi = _mm512_permutex2var_epi64(
+        _mm512_load_si512(g::kTab + 16), ki, _mm512_load_si512(g::kTab + 24));
+    const __m512i t = _mm512_add_epi64(
+        _mm512_mask_mov_epi64(
+            t_lo, _mm512_test_epi64_mask(ki, _mm512_set1_epi64(16)), t_hi),
+        _mm512_slli_epi64(ki, 52 - g::kTableBits));
+    const __m512d z =
+        _mm512_fmadd_pd(r, _mm512_set1_pd(g::kC0), _mm512_set1_pd(g::kC1));
+    __m512d y =
+        _mm512_fmadd_pd(r, _mm512_set1_pd(g::kC2), _mm512_set1_pd(1.0));
+    y = _mm512_fmadd_pd(z, _mm512_mul_pd(r, r), y);
+    return _mm512_cvtpd_ps(_mm512_mul_pd(y, _mm512_castsi512_pd(t)));
+  }
+#endif
 };
 
 struct Avx512D {

@@ -4,7 +4,9 @@
 //
 // Every body evaluates the exact per-element expression of the scalar code
 // it replaces (see the call sites in tensor/ops.cpp, sparse/ops.cpp,
-// core/merging.cpp) — no fused multiply-adds, no reassociation. The
+// core/merging.cpp) — no fused multiply-adds, no reassociation. The one
+// exception is exp_shifted, whose reference is libm's expf: its SIMD
+// bodies use FMA exactly where libm's own code does (expf_glibc.h). The
 // reductions follow the fixed 8-virtual-lane contract documented in vec.h:
 // element p lands in lane p mod 8 on every ISA, the main loop consumes 8
 // elements per iteration, the tail element at offset t past the last full
@@ -12,10 +14,13 @@
 // one fixed tree.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <utility>
 
 #include "tensor/vec/vec.h"
 
@@ -127,6 +132,70 @@ void momentum_update(const float* merged, float* global, float* prev,
     (VF::load_n(merged + i, r) + gv * (w - VF::load_n(prev + i, r)))
         .store_n(global + i, r);
     w.store_n(prev + i, r);
+  }
+}
+
+// y[i] = std::exp(x[i] - s) (tensor::softmax_rows). The subtraction is the
+// scalar float one; VF::exp equals libm's expf on every input (scalar: it
+// is std::exp; AVX2/AVX-512: expf_glibc.h). x may equal y.
+template <class VF>
+void exp_shifted(const float* x, float s, float* y, std::size_t n) {
+  constexpr std::size_t W = VF::kWidth;
+  const VF sv = VF::broadcast(s);
+  std::size_t i = 0;
+  for (; i + W <= n; i += W) {
+    VF::exp(VF::load(x + i) - sv).store(y + i);
+  }
+  if (const std::size_t r = n - i) {
+    VF::exp(VF::load_n(x + i, r) - sv).store_n(y + i, r);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// spmm_row (sparse::spmm): y[j] += sum_i v[i] * w[cols[i] * h + j] over
+// ascending i. Each element sees the axpy expression y + v[i] * w in the
+// same i order as one axpy call per nonzero; the output row just stays in
+// registers across the nonzeros, kSpmmStrip columns at a time.
+// ---------------------------------------------------------------------------
+
+inline constexpr std::size_t kSpmmStrip = 64;
+
+// One strip: NR full registers plus, when rem > 0, one of rem live lanes.
+template <class VF, std::size_t NR>
+void spmm_strip(const float* v, const std::uint32_t* cols, std::size_t nnz,
+                const float* w, std::size_t h, float* y, std::size_t rem) {
+  constexpr std::size_t W = VF::kWidth;
+  VF acc[NR + 1];
+  for (std::size_t q = 0; q < NR; ++q) acc[q] = VF::load(y + q * W);
+  acc[NR] = rem != 0 ? VF::load_n(y + NR * W, rem) : VF::zero();
+  for (std::size_t i = 0; i < nnz; ++i) {
+    const VF av = VF::broadcast(v[i]);
+    const float* wr = w + static_cast<std::size_t>(cols[i]) * h;
+    for (std::size_t q = 0; q < NR; ++q) {
+      acc[q] = acc[q] + av * VF::load(wr + q * W);
+    }
+    if (rem != 0) acc[NR] = acc[NR] + av * VF::load_n(wr + NR * W, rem);
+  }
+  for (std::size_t q = 0; q < NR; ++q) acc[q].store(y + q * W);
+  if (rem != 0) acc[NR].store_n(y + NR * W, rem);
+}
+
+template <class VF, std::size_t... NR>
+constexpr auto spmm_strips(std::index_sequence<NR...>) {
+  return std::array{&spmm_strip<VF, NR>...};
+}
+
+template <class VF>
+void spmm_row(const float* v, const std::uint32_t* cols, std::size_t nnz,
+              const float* w, std::size_t h, float* y) {
+  constexpr std::size_t W = VF::kWidth;
+  static_assert(kSpmmStrip % W == 0, "a strip must hold whole registers");
+  // kStrips[k] runs a strip of k full registers.
+  static constexpr auto kStrips =
+      spmm_strips<VF>(std::make_index_sequence<kSpmmStrip / W + 1>{});
+  for (std::size_t j = 0; j < h; j += kSpmmStrip) {
+    const std::size_t len = std::min(kSpmmStrip, h - j);
+    kStrips[len / W](v, cols, nnz, w + j, h, y + j, len % W);
   }
 }
 
@@ -722,6 +791,8 @@ VecKernels make_table(Isa isa) {
   t.sum_squares = &sum_squares<VD>;
   t.max = &max<RF>;
   t.gemm_a_bt = &gemm_a_bt<RF>;
+  t.exp_shifted = &exp_shifted<VF>;
+  t.spmm_row = &spmm_row<VF>;
   t.merge_init = &merge_init<VD>;
   t.merge_accum = &merge_accum<VD>;
   t.merge_store = &merge_store<VD>;

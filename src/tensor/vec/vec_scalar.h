@@ -39,6 +39,8 @@ struct ScalarF {
   friend ScalarF operator/(ScalarF a, ScalarF b) { return {a.v / b.v}; }
   /// sqrtss — IEEE correctly rounded, bit-identical to sqrtps on every ISA.
   static ScalarF sqrt(ScalarF a) { return {std::sqrt(a.v)}; }
+  /// libm's expf: the reference the SIMD exp() bodies match bit for bit.
+  static ScalarF exp(ScalarF a) { return {std::exp(a.v)}; }
 
   /// max(v, 0) with std::max's exact tie/NaN behavior: (v < 0) ? 0 : v.
   static ScalarF relu(ScalarF a) { return {a.v < 0.0f ? 0.0f : a.v}; }

@@ -253,9 +253,32 @@ TEST(Ops, SoftmaxRowsBitIdenticalToSerialReference) {
   single(1, 0) = -0.0f;
   single(2, 0) = nan;
   single(3, 0) = -inf;
+  // The 19-wide edge rows above stacked into one 9-row matrix, so each sits
+  // in a different slot of an 8-row block, plus one leftover row.
+  Matrix stacked(9, 19);
+  for (std::size_t r = 0; r < 8; ++r) {
+    std::memcpy(stacked.data() + r * 19, cases[r].data(), 19 * sizeof(float));
+  }
+  for (std::size_t j = 0; j < 19; ++j) stacked(8, j) = cases[0](0, j);
+  cases.push_back(stacked);
   cases.push_back(single);
   cases.push_back(random_matrix(5, 1024, rng));            // the train shape
   cases.push_back(random_matrix(3, 7, rng));               // tail only
+  // Row counts around the 8-row blocks: one block, one short, leftovers.
+  for (const std::size_t rows : {1, 7, 8, 9, 17, 128}) {
+    cases.push_back(random_matrix(rows, 1024, rng));
+  }
+  // Spreads from -60 to -120 below the row max: rows whose exp crosses
+  // -88 and -104 hold subnormal and zero probabilities.
+  Matrix spread(11, 67);
+  for (std::size_t i = 0; i < spread.rows(); ++i) {
+    const double low = -60.0 - 6.0 * static_cast<double>(i);
+    for (std::size_t j = 0; j < spread.cols(); ++j) {
+      spread(i, j) = static_cast<float>(rng.uniform(low, 0.0));
+    }
+    spread(i, i) = 0.25f;
+  }
+  cases.push_back(spread);
 
   const vec::Isa saved = vec::active_isa();
   for (const auto isa :

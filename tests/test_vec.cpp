@@ -14,9 +14,13 @@
 // to the scalar table checking itself — still a useful no-crash path.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <thread>
 #include <vector>
 
 #include "core/merging.h"
@@ -278,6 +282,150 @@ TEST_F(VecBitIdentity, GemmABtMatchesPerOutputDot) {
                                        k);
       expect_same_bits(ref, got, "gemm_a_bt", isa, m * 10000 + n * 100 + k);
     }
+  }
+}
+
+// ---- exp_shifted vs libm --------------------------------------------------
+//
+// exp_shifted must equal std::exp(x - s) bit for bit in every table: the
+// scalar table calls libm, the SIMD tables restate glibc's expf.
+
+std::uint32_t to_bits(float f) { return std::bit_cast<std::uint32_t>(f); }
+
+// Number of i with bits(y[i]) != bits(std::exp(x[i] - s)); reports the
+// first few.
+std::size_t exp_mismatches(const float* x, float s, const float* y,
+                           std::size_t n, vec::Isa isa) {
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const float want = std::exp(x[i] - s);
+    if (to_bits(want) == to_bits(y[i])) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << "exp_shifted on " << vec::isa_name(isa) << ": x=0x"
+                    << std::hex << to_bits(x[i]) << " s=0x" << to_bits(s)
+                    << " got 0x" << to_bits(y[i]) << " want 0x"
+                    << to_bits(want) << std::dec;
+    }
+  }
+  return bad;
+}
+
+// IEEE edge values, the inputs that pin the FMA in r, glibc's branch
+// thresholds and 64 floats on either side of each, and the band around
+// +-88 where the special branches sit.
+std::vector<float> exp_edge_values() {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float fmin = std::numeric_limits<float>::min();
+  const float den = std::numeric_limits<float>::denorm_min();
+  const float fmax = std::numeric_limits<float>::max();
+  std::vector<float> v = {
+      0.0f, -0.0f, inf, -inf, den, -den, fmin, -fmin, fmax, -fmax,
+      // Largest subnormals; quiet NaNs, bare and with payloads; signaling
+      // NaNs.
+      std::bit_cast<float>(0x007fffffu), std::bit_cast<float>(0x807fffffu),
+      std::bit_cast<float>(0x7fc00000u), std::bit_cast<float>(0xffc00000u),
+      std::bit_cast<float>(0x7fc12345u), std::bit_cast<float>(0xffd54321u),
+      std::bit_cast<float>(0x7f800001u), std::bit_cast<float>(0xff812345u),
+      1.0f, -1.0f, 0.5f, -0.5f,
+      // The only two floats whose expf changes when r = x * N/ln2 - kd is
+      // computed unfused (found by sweeping all 2^32 inputs); the other
+      // FMAs of the code path change no float result.
+      -0x1.f8cbb2p+5f, 0x1.04845ep+5f};
+  const float thresholds[] = {
+      0x1.62e42ep6f,   // above: +inf
+      -0x1.9fe368p6f,  // below: +0
+      -0x1.9d1d9ep6f,  // glibc's errno-only underflow branch
+      88.0f, -88.0f};  // |x| >= 88 enters glibc's special-case test
+  for (const float t : thresholds) {
+    float up = t, down = t;
+    v.push_back(t);
+    for (int k = 0; k < 64; ++k) {
+      up = std::nextafter(up, inf);
+      down = std::nextafter(down, -inf);
+      v.push_back(up);
+      v.push_back(down);
+    }
+  }
+  for (float x = -106.0f; x <= 90.0f; x += 0.0625f) v.push_back(x);
+  return v;
+}
+
+TEST_F(VecBitIdentity, ExpShiftedMatchesLibm) {
+  // Edge values, unshifted (x - 0 is x for every non-NaN x).
+  const auto edge = exp_edge_values();
+  for (const auto isa : isas_) {
+    const auto& vk = *vec::kernels_for(isa);
+    std::vector<float> y(edge.size());
+    vk.exp_shifted(edge.data(), 0.0f, y.data(), edge.size());
+    EXPECT_EQ(0u, exp_mismatches(edge.data(), 0.0f, y.data(), edge.size(),
+                                 isa))
+        << "edge values";
+  }
+
+  // A strided sweep over all 2^32 bit patterns (4.2M inputs).
+  std::vector<float> sweep;
+  for (std::uint64_t b = 7; b < (std::uint64_t{1} << 32); b += 1021) {
+    sweep.push_back(std::bit_cast<float>(static_cast<std::uint32_t>(b)));
+  }
+  for (const auto isa : isas_) {
+    std::vector<float> y(sweep.size());
+    vec::kernels_for(isa)->exp_shifted(sweep.data(), 0.0f, y.data(),
+                                       sweep.size());
+    EXPECT_EQ(0u, exp_mismatches(sweep.data(), 0.0f, y.data(), sweep.size(),
+                                 isa))
+        << "strided sweep";
+  }
+
+  // Every length 0-33 (each tail residue of 8 and 16 lanes) with a shift,
+  // from an unaligned pointer, out of place and in place.
+  for (std::size_t n = 0; n <= 33; ++n) {
+    std::vector<float> buf(n + 1);
+    for (auto& x : buf) x = static_cast<float>(rng_.uniform(-110.0, 95.0));
+    const float s = static_cast<float>(rng_.uniform(-3.0, 3.0));
+    const float* x = buf.data() + 1;
+    for (const auto isa : isas_) {
+      const auto& vk = *vec::kernels_for(isa);
+      std::vector<float> out(n + 1, -1.0f);
+      vk.exp_shifted(x, s, out.data() + 1, n);
+      EXPECT_EQ(0u, exp_mismatches(x, s, out.data() + 1, n, isa))
+          << "n=" << n;
+      EXPECT_EQ(-1.0f, out[0]) << "wrote before y at n=" << n;
+      auto in_place = buf;
+      vk.exp_shifted(in_place.data() + 1, s, in_place.data() + 1, n);
+      EXPECT_EQ(0u, exp_mismatches(x, s, in_place.data() + 1, n, isa))
+          << "in place, n=" << n;
+    }
+  }
+}
+
+// All 2^32 inputs for every table (about 30 s on 4 threads). Run with
+//   test_vec --gtest_also_run_disabled_tests --gtest_filter='*Exhaustive*'
+TEST_F(VecBitIdentity, DISABLED_ExpShiftedExhaustive) {
+  constexpr std::uint64_t kAll = std::uint64_t{1} << 32;
+  constexpr std::uint64_t kChunk = std::uint64_t{1} << 16;
+  const std::size_t threads =
+      std::clamp<std::size_t>(std::thread::hardware_concurrency(), 1, 4);
+  for (const auto isa : isas_) {
+    const auto& vk = *vec::kernels_for(isa);
+    std::atomic<std::uint64_t> next{0}, bad{0};
+    std::vector<std::thread> pool;
+    for (std::size_t t = 0; t < threads; ++t) {
+      pool.emplace_back([&] {
+        std::vector<float> x(kChunk), y(kChunk);
+        for (std::uint64_t c; (c = next.fetch_add(kChunk)) < kAll;) {
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            x[i] = std::bit_cast<float>(static_cast<std::uint32_t>(c + i));
+          }
+          vk.exp_shifted(x.data(), 0.0f, y.data(), kChunk);
+          for (std::uint64_t i = 0; i < kChunk; ++i) {
+            if (to_bits(std::exp(x[i] - 0.0f)) != to_bits(y[i])) ++bad;
+          }
+        }
+      });
+    }
+    for (auto& th : pool) th.join();
+    EXPECT_EQ(0u, bad.load()) << "exp_shifted on " << vec::isa_name(isa)
+                              << " differs from std::exp";
   }
 }
 
@@ -598,6 +746,88 @@ TEST(VecEndToEnd, GemmABtTiledAcrossIsaAndThreads) {
       for (const auto t : thread_counts) {
         tensor::gemm_a_bt(a, bt, c, eager_ctx(pool, t));
         expect_bit_identical(c_ref, c, "gemm_a_bt(threaded)", isa, t);
+      }
+    }
+  }
+}
+
+// The loop sparse::spmm ran before spmm_row: one scalar axpy per nonzero.
+void reference_spmm(const sparse::CsrMatrix& x, const tensor::Matrix& w,
+                    tensor::Matrix& y) {
+  const auto& scalar = *vec::kernels_for(vec::Isa::kScalar);
+  const std::size_t h = w.cols();
+  y.resize(x.rows(), h, 0.0f);
+  for (std::size_t r = 0; r < x.rows(); ++r) {
+    const auto cols = x.row_cols(r);
+    const auto vals = x.row_values(r);
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      scalar.axpy(vals[i], w.data() + static_cast<std::size_t>(cols[i]) * h,
+                  y.data() + r * h, h);
+    }
+  }
+}
+
+// 10 rows over 23 columns from raw CSR arrays: rows 2 and 6 empty, row 4
+// with unsorted and duplicate columns (summed one after another, never
+// merged), the rest random.
+sparse::CsrMatrix spmm_row_batch(util::Rng& rng) {
+  std::vector<std::size_t> row_ptr{0};
+  std::vector<std::uint32_t> cols;
+  std::vector<float> vals;
+  for (std::size_t r = 0; r < 10; ++r) {
+    if (r == 4) {
+      for (const std::uint32_t c : {5u, 5u, 0u, 22u, 5u, 0u}) {
+        cols.push_back(c);
+        vals.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
+      }
+    } else if (r != 2 && r != 6) {
+      for (std::uint32_t c = 0; c < 23; ++c) {
+        if (!rng.bernoulli(0.4)) continue;
+        cols.push_back(c);
+        vals.push_back(static_cast<float>(rng.uniform(-1.0, 1.0)));
+      }
+    }
+    row_ptr.push_back(cols.size());
+  }
+  return sparse::CsrMatrix(10, 23, std::move(row_ptr), std::move(cols),
+                           std::move(vals));
+}
+
+TEST(VecEndToEnd, SpmmRowMatchesPerNonzeroAxpy) {
+  IsaGuard guard;
+  util::ThreadPool pool(4);
+  util::Rng rng(55);
+  const std::size_t thread_counts[] = {1, 2, 3, 4, 9, 16};
+  // Every strip shape: register tails, whole registers, one 64-column
+  // strip, and more than one strip.
+  for (const std::size_t h : {1, 7, 8, 15, 16, 17, 48, 64, 65, 130}) {
+    const auto x = spmm_row_batch(rng);
+    const auto w = fuzz_matrix(x.cols(), h, rng);
+    tensor::Matrix y_ref;
+    reference_spmm(x, w, y_ref);
+
+    // The table entry itself adds into a nonzero output row.
+    const auto y0 = fuzz_floats(h, rng);
+    const auto cols = x.row_cols(4);
+    auto row_ref = y0;
+    for (std::size_t i = 0; i < cols.size(); ++i) {
+      vec::kernels_for(vec::Isa::kScalar)
+          ->axpy(x.row_values(4)[i], w.data() + cols[i] * h, row_ref.data(),
+                 h);
+    }
+    for (const auto isa : available_isas()) {
+      auto row = y0;
+      vec::kernels_for(isa)->spmm_row(x.row_values(4).data(), cols.data(),
+                                      cols.size(), w.data(), h, row.data());
+      expect_same_bits(row_ref, row, "spmm_row", isa, h);
+
+      vec::set_isa(isa);
+      tensor::Matrix y;
+      sparse::spmm(x, w, y);  // inline
+      expect_bit_identical(y_ref, y, "spmm(inline)", isa, 0);
+      for (const auto t : thread_counts) {
+        sparse::spmm(x, w, y, eager_ctx(pool, t));
+        expect_bit_identical(y_ref, y, "spmm(threaded)", isa, t);
       }
     }
   }
