@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.h"
-#include "nn/train_step.h"
+#include "nn/deep_mlp.h"
 #include "sim/virtual_gpu.h"
 #include "util/stats.h"
 
@@ -20,14 +20,14 @@ namespace {
 void run_profile(const char* name, std::vector<sim::DeviceSpec> specs,
                  const data::XmlDataset& dataset,
                  const core::TrainerConfig& cfg) {
-  nn::MlpConfig model_cfg;
+  nn::DeepMlp::Config model_cfg;
   model_cfg.num_features = dataset.train.features.cols();
   model_cfg.num_classes = dataset.train.labels.cols();
-  model_cfg.hidden = cfg.hidden;
+  model_cfg.hidden = {cfg.hidden};
 
   // One identical batch for every GPU and every trial.
   const auto batch = dataset.train.features.slice_rows(0, cfg.batch_max);
-  auto kernels = nn::step_kernels(model_cfg, batch);
+  auto kernels = nn::DeepMlp(model_cfg).step_kernels(batch);
   for (auto& k : kernels) {
     k.flops *= cfg.compute_scale;
     k.bytes *= cfg.compute_scale;

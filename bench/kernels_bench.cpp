@@ -4,15 +4,16 @@
 // exist to keep the reference kernels honest as the code evolves.
 //
 // The parallel-backend benchmarks sweep worker threads x batch sparsity for
-// the sparsity-aware hot path (spmm, touched-row gradient, full sgd_step at
-// XML-like shape) against BM_SgdStepXmlSeedReference, a faithful re-creation
-// of the seed implementation's serial dense-gradient step (per-step
-// O(F x H) zero-fill + sort/unique in the update). Unless the caller passes
-// --benchmark_out, results are written to BENCH_kernels.json so the speedup
-// trajectory is tracked across PRs.
+// the sparsity-aware hot path (spmm, touched-row gradient, a full training
+// step at XML-like shape) against BM_SgdStepXmlSeedReference, a faithful
+// re-creation of the seed implementation's serial dense-gradient step
+// (per-step O(F x H) zero-fill + sort/unique in the update). Unless the
+// caller passes --benchmark_out, results are written to BENCH_kernels.json
+// so the speedup trajectory is tracked across PRs.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -20,7 +21,7 @@
 #include "bench_common.h"
 #include "comm/allreduce.h"
 #include "core/merging.h"
-#include "nn/train_step.h"
+#include "nn/deep_mlp.h"
 #include "sim/profiles.h"
 #include "slide/simhash.h"
 #include "sparse/ops.h"
@@ -247,19 +248,27 @@ void BM_TouchedColumns(benchmark::State& state) {
 }
 BENCHMARK(BM_TouchedColumns)->Arg(12)->Arg(17);
 
+// The paper's model: one hidden layer of width `hidden`.
+nn::DeepMlp::Config mlp_config(std::size_t features, std::size_t hidden,
+                               std::size_t classes) {
+  nn::DeepMlp::Config cfg;
+  cfg.num_features = features;
+  cfg.hidden = {hidden};
+  cfg.num_classes = classes;
+  return cfg;
+}
+
 void BM_FullSgdStep(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = 8192;
-  cfg.hidden = 64;
-  cfg.num_classes = static_cast<std::size_t>(state.range(0));
+  const auto cfg =
+      mlp_config(8192, 64, static_cast<std::size_t>(state.range(0)));
   util::Rng rng(7);
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_sparse_batch(128, cfg.num_features, 76, 8);
   const auto y = make_labels(128, cfg.num_classes, 7);
-  nn::Workspace ws;
+  const auto ws = model.make_workspace();
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * 128);
 }
@@ -271,24 +280,21 @@ constexpr std::size_t kXmlNnzPerRow = 100;     // 0.0048% density
 constexpr std::size_t kXmlClasses = 512;
 constexpr std::size_t kXmlBatch = 128;
 
-// End-to-end sgd_step on the sparsity-aware backend. Args: {threads}.
+// End-to-end training step on the sparsity-aware backend. Args: {threads}.
 void BM_SgdStepXml(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  nn::MlpConfig cfg;
-  cfg.num_features = kXmlFeatures;
-  cfg.hidden = 64;
-  cfg.num_classes = kXmlClasses;
+  const auto cfg = mlp_config(kXmlFeatures, 64, kXmlClasses);
   util::Rng rng(7);
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_sparse_batch(kXmlBatch, cfg.num_features,
                                    kXmlNnzPerRow, 8);
   const auto y = make_labels(kXmlBatch, cfg.num_classes, 9);
-  nn::Workspace ws;
+  const auto ws = model.make_workspace();
   util::ThreadPool pool(threads);
-  if (threads > 1) ws.ctx = kernels::Context{&pool, threads};
+  if (threads > 1) ws->ctx = kernels::Context{&pool, threads};
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
@@ -299,46 +305,46 @@ BENCHMARK(BM_SgdStepXml)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
 // dense F x H layer-1 gradient that is zero-filled every step, serial
 // kernels throughout, and a per-update sort/unique of the batch columns.
 void BM_SgdStepXmlSeedReference(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = kXmlFeatures;
-  cfg.hidden = 64;
-  cfg.num_classes = kXmlClasses;
+  const std::size_t f = kXmlFeatures;
+  const std::size_t h = 64;
+  const std::size_t c = kXmlClasses;
+  // The model's parameters, initialized as nn::DeepMlp::init does.
   util::Rng rng(7);
-  nn::MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_sparse_batch(kXmlBatch, cfg.num_features,
-                                   kXmlNnzPerRow, 8);
-  const auto y = make_labels(kXmlBatch, cfg.num_classes, 9);
+  tensor::Matrix w1(f, h), w2(h, c);
+  tensor::init_gaussian(w1, 1.0 / std::sqrt(static_cast<double>(f)), rng);
+  tensor::init_gaussian(w2, 1.0 / std::sqrt(static_cast<double>(h)), rng);
+  std::vector<float> b1(h, 0.0f), b2(c, 0.0f);
+  const auto x = make_sparse_batch(kXmlBatch, f, kXmlNnzPerRow, 8);
+  const auto y = make_labels(kXmlBatch, c, 9);
 
-  const std::size_t h = cfg.hidden;
   tensor::Matrix h_pre, hact, probs, delta2, delta1;
-  tensor::Matrix grad_w1(cfg.num_features, h, 0.0f);
+  tensor::Matrix grad_w1(f, h, 0.0f);
   tensor::Matrix grad_w2;
   std::vector<float> grad_b1, grad_b2;
   const float lr = 0.01f;
 
   for (auto _ : state) {
     // Forward.
-    sparse::spmm(x, model.w1(), h_pre);
-    tensor::add_row_bias(h_pre, {model.b1().data(), model.b1().size()});
+    sparse::spmm(x, w1, h_pre);
+    tensor::add_row_bias(h_pre, {b1.data(), b1.size()});
     hact = h_pre;
     tensor::relu(hact);
-    tensor::gemm(hact, model.w2(), probs);
-    tensor::add_row_bias(probs, {model.b2().data(), model.b2().size()});
+    tensor::gemm(hact, w2, probs);
+    tensor::add_row_bias(probs, {b2.data(), b2.size()});
     tensor::softmax_rows(probs);
     // Backward.
     delta2 = probs;
     for (std::size_t r = 0; r < x.rows(); ++r) {
       const auto labels = y.row_cols(r);
       const float share = 1.0f / static_cast<float>(labels.size());
-      float* dd = delta2.data() + r * cfg.num_classes;
+      float* dd = delta2.data() + r * c;
       for (auto c : labels) dd[c] -= share;
     }
     tensor::scale(delta2.flat(), 1.0f / static_cast<float>(x.rows()));
     tensor::gemm_at_b(hact, delta2, grad_w2);
-    grad_b2.assign(cfg.num_classes, 0.0f);
+    grad_b2.assign(c, 0.0f);
     tensor::column_sums(delta2, {grad_b2.data(), grad_b2.size()});
-    tensor::gemm_a_bt(delta2, model.w2(), delta1);
+    tensor::gemm_a_bt(delta2, w2, delta1);
     tensor::relu_backward(h_pre, delta1);
     grad_w1.fill(0.0f);  // the O(F x H) per-step cost the backend removes
     sparse::spmm_t_accumulate(x, delta1, grad_w1);
@@ -349,16 +355,14 @@ void BM_SgdStepXmlSeedReference(benchmark::State& state) {
     std::sort(touched.begin(), touched.end());
     touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
     for (auto row : touched) {
-      float* w = model.w1().data() + static_cast<std::size_t>(row) * h;
+      float* w = w1.data() + static_cast<std::size_t>(row) * h;
       const float* g = grad_w1.data() + static_cast<std::size_t>(row) * h;
       for (std::size_t j = 0; j < h; ++j) w[j] -= lr * g[j];
     }
-    tensor::axpy(-lr, {grad_b1.data(), grad_b1.size()},
-                 {model.b1().data(), model.b1().size()});
-    tensor::axpy(-lr, grad_w2.flat(), model.w2().flat());
-    tensor::axpy(-lr, {grad_b2.data(), grad_b2.size()},
-                 {model.b2().data(), model.b2().size()});
-    benchmark::DoNotOptimize(model.w1().data());
+    tensor::axpy(-lr, {grad_b1.data(), grad_b1.size()}, {b1.data(), b1.size()});
+    tensor::axpy(-lr, grad_w2.flat(), w2.flat());
+    tensor::axpy(-lr, {grad_b2.data(), grad_b2.size()}, {b2.data(), b2.size()});
+    benchmark::DoNotOptimize(w1.data());
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
@@ -368,21 +372,18 @@ BENCHMARK(BM_SgdStepXmlSeedReference)->Unit(benchmark::kMillisecond);
 // so the perf plumbing (threaded kernels included) is exercised on every
 // tier-1 run without paying for the full sweep.
 void BM_SmokeSgdStep(benchmark::State& state) {
-  nn::MlpConfig cfg;
-  cfg.num_features = 256;
-  cfg.hidden = 16;
-  cfg.num_classes = 32;
+  const auto cfg = mlp_config(256, 16, 32);
   util::Rng rng(7);
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   model.init(rng);
   const auto x = make_sparse_batch(16, cfg.num_features, 8, 8);
   const auto y = make_labels(16, cfg.num_classes, 9);
-  nn::Workspace ws;
+  const auto ws = model.make_workspace();
   util::ThreadPool pool(2);
-  ws.ctx = kernels::Context{&pool, 2};
-  ws.ctx.serial_grain = 0;  // force the threaded path even at this size
+  ws->ctx = kernels::Context{&pool, 2};
+  ws->ctx.serial_grain = 0;  // force the threaded path even at this size
   for (auto _ : state) {
-    nn::sgd_step(model, x, y, 0.01f, ws);
+    model.train_step(x, y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * 16);
 }

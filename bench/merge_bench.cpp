@@ -35,7 +35,6 @@
 #include "core/merging.h"
 #include "data/synthetic.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
 #include "tensor/vec/vec.h"
@@ -63,21 +62,24 @@ void fill_pattern(std::span<float> v, std::uint32_t seed) {
   }
 }
 
+// The paper's model (one hidden layer of width `hidden`).
 struct MergeSetup {
-  nn::MlpConfig cfg;
-  std::vector<nn::MlpModel> replicas;
-  nn::MlpModel global;
-  nn::MlpModel prev;
+  nn::DeepMlp::Config cfg;
+  std::size_t hidden;
+  std::vector<nn::DeepMlp> replicas;
+  nn::DeepMlp global;
+  nn::DeepMlp prev;
   std::vector<double> weights;
   // Per-replica touched W1 rows (delta path only).
   std::vector<sparse::RowSet> touched;
 
   MergeSetup(std::size_t features, std::size_t hidden, std::size_t classes,
-             std::size_t num_replicas, std::size_t touched_permille) {
+             std::size_t num_replicas, std::size_t touched_permille)
+      : hidden(hidden) {
     cfg.num_features = features;
-    cfg.hidden = hidden;
+    cfg.hidden = {hidden};
     cfg.num_classes = classes;
-    global = nn::MlpModel(cfg);
+    global = nn::DeepMlp(cfg);
     for (auto seg : global.segment_views()) fill_pattern(seg, 1);
     prev = global;
     for (std::size_t i = 0; i < num_replicas; ++i) {
@@ -171,11 +173,11 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
   auto prev_segs = s.prev.segment_views();
   std::vector<const float*> bases(s.replicas.size());
   for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    bases[i] = s.replicas[i].w1().data();
+    bases[i] = s.replicas[i].weights(0).data();
   }
-  core::merge_touched_rows(bases, sorted, s.cfg.hidden, u,
-                           s.global.w1().data(), s.prev.w1().data(), ctx);
-  core::merge_untouched_rows(merge_union, s.cfg.num_features, s.cfg.hidden,
+  core::merge_touched_rows(bases, sorted, s.hidden, u, global_segs[0].data(),
+                           prev_segs[0].data(), ctx);
+  core::merge_untouched_rows(merge_union, s.cfg.num_features, s.hidden,
                              u, global_segs[0], prev_segs[0], ctx);
   for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
     for (std::size_t i = 0; i < s.replicas.size(); ++i) {
@@ -192,15 +194,15 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
 // layer) over the touched-row union, fused dense merge for every remaining
 // [W,b] segment of the layer stack.
 struct DeepMergeSetup {
-  nn::DeepMlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   nn::DeepMlp global;
   nn::DeepMlp prev;
   std::vector<nn::DeepMlp> replicas;
   std::vector<double> weights;
   std::vector<sparse::RowSet> touched;
 
-  static nn::DeepMlpConfig make_cfg(std::size_t features) {
-    nn::DeepMlpConfig c;
+  static nn::DeepMlp::Config make_cfg(std::size_t features) {
+    nn::DeepMlp::Config c;
     c.num_features = features;
     c.hidden = {kHidden, kHidden / 2};
     c.num_classes = kClasses;
@@ -292,8 +294,8 @@ struct QuantDeltaScratch {
     const auto segs = s.global.segment_views();
     std::size_t dst = 0;
     for (const auto row : sorted) {
-      groups.push_back({0, row * s.cfg.hidden, dst, s.cfg.hidden});
-      dst += s.cfg.hidden;
+      groups.push_back({0, row * s.hidden, dst, s.hidden});
+      dst += s.hidden;
     }
     for (std::size_t seg = 1; seg < segs.size(); ++seg) {
       for (std::size_t off = 0; off < segs[seg].size();
@@ -389,13 +391,13 @@ void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
   };
   auto global_segs = s.global.segment_views();
   auto prev_segs = s.prev.segment_views();
-  core::merge_touched_rows_quantized(region(0, 0), qs.sorted, s.cfg.hidden,
+  core::merge_touched_rows_quantized(region(0, 0), qs.sorted, s.hidden,
                                      wsum, u, global_segs[0].data(),
                                      prev_segs[0].data(), ctx);
   core::merge_untouched_rows(qs.merge_union, s.cfg.num_features,
-                             s.cfg.hidden, u, global_segs[0], prev_segs[0],
+                             s.hidden, u, global_segs[0], prev_segs[0],
                              ctx);
-  std::size_t code_off = qs.sorted.size() * s.cfg.hidden;
+  std::size_t code_off = qs.sorted.size() * s.hidden;
   std::size_t scale_off = qs.sorted.size();
   for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
     const std::size_t len = global_segs[seg].size();
@@ -436,7 +438,7 @@ void BM_MergePr1Path(benchmark::State& state) {
   std::vector<double> acc;
   for (auto _ : state) {
     run_pr1_merge(s, global_flat, prev_flat, acc);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.cfg.num_parameters()));
@@ -451,7 +453,7 @@ void BM_MergeFusedDense(benchmark::State& state) {
   const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
   for (auto _ : state) {
     run_fused_dense_merge(s, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.cfg.num_parameters()));
@@ -470,7 +472,7 @@ void BM_MergeFusedDelta(benchmark::State& state) {
   std::vector<std::uint32_t> sorted;
   for (auto _ : state) {
     run_fused_delta_merge(s, merge_union, sorted, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   state.counters["union_rows"] =
       static_cast<double>(merge_union.size());
@@ -534,7 +536,7 @@ void BM_MergeQuantizedDelta(benchmark::State& state) {
   qs.build(s);
   for (auto _ : state) {
     run_quantized_delta_merge(s, prec, qs, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
   }
   const auto wire = comm::wire_payload(
       prec, qs.groups.size(), qs.elems);
@@ -677,7 +679,7 @@ void BM_SmokeMergePaths(benchmark::State& state) {
     run_quantized_delta_merge(s, comm::MergePrecision::kInt8, qs8, ctx);
     run_quantized_delta_merge(s, comm::MergePrecision::kFp16, qs16, ctx);
     run_fused_delta_merge_deep(deep, deep_union, deep_sorted, ctx);
-    benchmark::DoNotOptimize(s.global.w1().data());
+    benchmark::DoNotOptimize(s.global.weights(0).data());
     benchmark::DoNotOptimize(deep.global.segment_views()[0].data());
   }
 }

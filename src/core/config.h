@@ -31,8 +31,9 @@ enum class ExecutionMode {
 
 struct TrainerConfig {
   // --- model -----------------------------------------------------------
-  /// Architecture family (nn::make_model). kMlp is the paper's 3-layer
-  /// model; kDeep enables multi-layer stacks via `hidden_layers`.
+  /// Architecture family (nn::make_model; both build an nn::DeepMlp). kMlp
+  /// is the paper's 3-layer model (one hidden width, `hidden`); kDeep
+  /// enables multi-layer stacks via `hidden_layers`.
   nn::ModelKind model_kind = nn::ModelKind::kMlp;
   std::size_t hidden = 64;
   /// Hidden widths for kDeep (one or more). Empty = {hidden}, so existing

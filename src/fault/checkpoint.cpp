@@ -5,6 +5,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -122,14 +123,29 @@ std::string serialize_model(const nn::Model& model) {
   return out.str();
 }
 
-void copy_blob_into(const std::string& blob, nn::Model& target) {
+std::string shape_of(const nn::ModelInfo& info) {
+  std::string shape = std::to_string(info.num_features);
+  for (const std::size_t h : info.hidden) shape += "x" + std::to_string(h);
+  return shape + "x" + std::to_string(info.num_classes);
+}
+
+// Loads a model blob whose architecture must equal `target`'s. Comparing
+// parameter counts is not enough: F=100, C=10 with hidden {1,16} and {2,7}
+// both hold 303 parameters, and copying one into the other would leave
+// weight matrices whose shapes disagree with the model's layer list.
+std::unique_ptr<nn::Model> load_matching_blob(const std::string& blob,
+                                              const nn::Model& target) {
   std::istringstream in(blob, std::ios::binary);
-  const auto loaded = nn::load_any_model(in);
-  if (loaded->num_parameters() != target.num_parameters()) {
-    throw std::runtime_error(
-        "checkpoint: model parameter count does not match runtime");
+  auto loaded = nn::load_any_model(in);
+  const auto& got = loaded->info();
+  const auto& want = target.info();
+  if (got.num_features != want.num_features || got.hidden != want.hidden ||
+      got.num_classes != want.num_classes) {
+    throw std::runtime_error("checkpoint: model shape " + shape_of(got) +
+                             " does not match runtime model " +
+                             shape_of(want));
   }
-  target.copy_from(*loaded);
+  return loaded;
 }
 
 }  // namespace
@@ -224,8 +240,13 @@ void restore_checkpoint(core::AdaptiveSgdTrainer& trainer,
         "checkpoint: restore requires a freshly constructed trainer");
   }
 
-  copy_blob_into(ckpt.global_blob, runtime.global_model());
-  copy_blob_into(ckpt.prev_global_blob, runtime.prev_global_model());
+  // Both blobs are loaded and shape-checked before any state changes.
+  const auto global =
+      load_matching_blob(ckpt.global_blob, runtime.global_model());
+  const auto prev =
+      load_matching_blob(ckpt.prev_global_blob, runtime.prev_global_model());
+  runtime.global_model().copy_from(*global);
+  runtime.prev_global_model().copy_from(*prev);
   runtime.skip_samples(ckpt.samples_served);
 
   std::vector<core::GpuSgdState> sgd(ckpt.gpus.size());

@@ -11,7 +11,7 @@
 
 namespace hetero::nn {
 
-std::size_t DeepMlpConfig::num_parameters() const {
+std::size_t DeepMlp::Config::num_parameters() const {
   std::size_t total = 0;
   std::size_t in = num_features;
   for (std::size_t h : hidden) {
@@ -22,7 +22,7 @@ std::size_t DeepMlpConfig::num_parameters() const {
   return total;
 }
 
-void DeepWorkspace::ensure(const DeepMlpConfig& cfg) {
+void DeepWorkspace::ensure(const DeepMlp::Config& cfg) {
   const std::size_t nh = cfg.hidden.size();
   const std::size_t layers = cfg.num_layers();
   pre.resize(nh);
@@ -55,7 +55,7 @@ void DeepWorkspace::swap_gradients(ModelWorkspace& other) {
 
 namespace {
 
-ModelInfo make_info(const DeepMlpConfig& cfg) {
+ModelInfo make_info(const DeepMlp::Config& cfg) {
   ModelInfo info;
   info.num_features = cfg.num_features;
   info.hidden = cfg.hidden;
@@ -66,7 +66,7 @@ ModelInfo make_info(const DeepMlpConfig& cfg) {
 
 }  // namespace
 
-DeepMlp::DeepMlp(const DeepMlpConfig& cfg) : cfg_(cfg), info_(make_info(cfg)) {
+DeepMlp::DeepMlp(const Config& cfg) : cfg_(cfg), info_(make_info(cfg)) {
   assert(!cfg.hidden.empty());
   std::size_t in = cfg.num_features;
   for (std::size_t h : cfg.hidden) {
@@ -153,8 +153,8 @@ double DeepMlp::forward_impl(const sparse::CsrMatrix& x,
   assert(x.rows() == y.rows());
   const std::size_t nh = cfg_.hidden.size();
 
-  // Hidden stack. The single-hidden case runs the exact MlpModel sequence
-  // (spmm, bias, copy, relu, gemm, bias, softmax) so results bit-match.
+  // The kernel order fixes the result bits, which the one-hidden-layer
+  // golden pins in tests/test_deep_mlp.cpp hold to.
   for (std::size_t l = 0; l < nh; ++l) {
     if (l == 0) {
       sparse::spmm(x, weights_[0], ws.pre[0], ws.ctx);
@@ -304,9 +304,9 @@ std::vector<sim::KernelDesc> DeepMlp::step_kernels(
     kernels.push_back({flops, bytes, sparse, std::move(name)});
   };
 
-  // Forward. With one hidden layer this emits MlpModel's exact list
-  // (same names, formulas, and order), so the simulator charges the two
-  // paths identical virtual time.
+  // Forward. With one hidden layer the list (names, formulas, order) is
+  // pinned in tests/test_deep_mlp.cpp: the simulator's virtual time for the
+  // paper's model depends on it.
   add(2 * nnz * h1, nnz * (4 + f4) + nnz * h1 * f4 + b * h1 * f4, true,
       "spmm_fwd1");
   add(b * h1, 2 * b * h1 * f4, false, "bias_relu1");

@@ -1,17 +1,16 @@
-// Arbitrary-depth sparse-input MLP — the framework-generality extension.
+// Sparse-input MLP of any depth: the framework's one nn::Model.
 //
-// The paper evaluates on the SLIDE testbed's 3-layer MLP (one hidden
-// layer), which MlpModel implements; HeteroGPU itself is positioned as a
-// framework "for sparse deep learning" in general, and the journal version
-// evaluates deeper sparse architectures. DeepMlp provides them
-// (sparse input -> H1 -> ... -> Hk -> softmax) on the same fast path as
-// MlpModel: parallel kernels::Context-routed math, a touched-row
-// SparseGradient for the sparse input layer, reused per-layer workspace
-// buffers, and in-place segment_views for the sharded/delta merge.
+// sparse input (F) -> H1 -> ... -> Hk (ReLU) -> classes (C), softmax, with
+// multi-label cross-entropy. With one hidden layer it is the paper's
+// evaluation model, the SLIDE testbed's 3-layer MLP (Section V-A); the
+// journal version trains deeper stacks on the same runtime. The math runs
+// on the fast path: parallel kernels::Context-routed kernels, a
+// touched-row SparseGradient for the sparse input layer, reused per-layer
+// workspace buffers, and in-place segment_views for the sharded/delta
+// merge.
 //
-// With a single hidden layer, DeepMlp runs the exact same kernel sequence
-// in the exact same order as MlpModel, so its results (and virtual-GPU
-// costs) are bit-identical to the shallow model — tested in
+// The one-hidden-layer results (parameters, loss, gradients, virtual-GPU
+// cost report) are pinned to golden values in tests/test_deep_mlp.cpp and
 // tests/test_model_polymorphic.cpp.
 #pragma once
 
@@ -26,60 +25,26 @@
 
 namespace hetero::nn {
 
-struct DeepMlpConfig {
-  std::size_t num_features = 0;
-  std::vector<std::size_t> hidden = {64};  // at least one hidden layer
-  std::size_t num_classes = 0;
-
-  std::size_t num_layers() const { return hidden.size() + 1; }
-  std::size_t num_parameters() const;
-};
-
-/// DeepMlp's concrete ModelWorkspace: per-layer activation/delta buffers
-/// plus the per-layer gradients. The sparse input layer's gradient is a
-/// touched-row SparseGradient keyed per batch (no O(F x H1) dense buffer);
-/// dense-layer gradients are reused matrices. All buffers persist across
-/// steps, so steady-state training does no per-batch allocation.
-struct DeepWorkspace : ModelWorkspace {
-  // Indexed by hidden layer (0 .. num_hidden-1); the output layer's
-  // activations live in the base `probs`.
-  std::vector<tensor::Matrix> pre;     // batch x H_l, pre-activation
-  std::vector<tensor::Matrix> acts;    // batch x H_l, post-ReLU
-  // Indexed by layer (0 .. num_layers-1); deltas.back() is batch x C.
-  std::vector<tensor::Matrix> deltas;
-
-  sparse::SparseGradient grad_w1;      // touched rows of F x H1
-  std::vector<tensor::Matrix> grad_w;  // dense layers 1..L-1 (index l-1)
-  std::vector<std::vector<float>> grad_b;  // all layers
-
-  void ensure(const DeepMlpConfig& cfg);
-
-  std::span<const std::uint32_t> touched_input_rows() const override {
-    return grad_w1.rows();
-  }
-  void swap_gradients(ModelWorkspace& other) override;
-  /// Segment order W0,b0,W1,b1,...: dense spans are [b0, W1, b1, ...].
-  GradientViews gradient_views() const override {
-    GradientViews views;
-    views.input = &grad_w1;
-    views.dense.push_back({grad_b[0].data(), grad_b[0].size()});
-    for (std::size_t l = 1; l < grad_b.size(); ++l) {
-      views.dense.push_back(grad_w[l - 1].flat());
-      views.dense.push_back({grad_b[l].data(), grad_b[l].size()});
-    }
-    return views;
-  }
-};
+struct DeepWorkspace;
 
 class DeepMlp : public Model {
  public:
+  struct Config {
+    std::size_t num_features = 0;
+    std::vector<std::size_t> hidden = {64};  // at least one hidden layer
+    std::size_t num_classes = 0;
+
+    std::size_t num_layers() const { return hidden.size() + 1; }
+    std::size_t num_parameters() const;
+  };
+
   DeepMlp() = default;
-  explicit DeepMlp(const DeepMlpConfig& cfg);
+  explicit DeepMlp(const Config& cfg);
 
   /// Weights ~ N(0, 1/sqrt(fan_in)), biases zero.
   void init(util::Rng& rng) override;
 
-  const DeepMlpConfig& config() const { return cfg_; }
+  const Config& config() const { return cfg_; }
   const ModelInfo& info() const override { return info_; }
 
   std::unique_ptr<Model> clone() const override;
@@ -126,10 +91,46 @@ class DeepMlp : public Model {
   double forward_impl(const sparse::CsrMatrix& x, const sparse::CsrMatrix& y,
                       DeepWorkspace& ws) const;
 
-  DeepMlpConfig cfg_;
+  Config cfg_;
   ModelInfo info_;
   std::vector<tensor::Matrix> weights_;     // per layer
   std::vector<std::vector<float>> biases_;  // per layer
+};
+
+/// DeepMlp's concrete ModelWorkspace: per-layer activation/delta buffers
+/// plus the per-layer gradients. The sparse input layer's gradient is a
+/// touched-row SparseGradient keyed per batch (no O(F x H1) dense buffer);
+/// dense-layer gradients are reused matrices. All buffers persist across
+/// steps, so steady-state training does no per-batch allocation.
+struct DeepWorkspace : ModelWorkspace {
+  // Indexed by hidden layer (0 .. num_hidden-1); the output layer's
+  // activations live in the base `probs`.
+  std::vector<tensor::Matrix> pre;     // batch x H_l, pre-activation
+  std::vector<tensor::Matrix> acts;    // batch x H_l, post-ReLU
+  // Indexed by layer (0 .. num_layers-1); deltas.back() is batch x C.
+  std::vector<tensor::Matrix> deltas;
+
+  sparse::SparseGradient grad_w1;      // touched rows of F x H1
+  std::vector<tensor::Matrix> grad_w;  // dense layers 1..L-1 (index l-1)
+  std::vector<std::vector<float>> grad_b;  // all layers
+
+  void ensure(const DeepMlp::Config& cfg);
+
+  std::span<const std::uint32_t> touched_input_rows() const override {
+    return grad_w1.rows();
+  }
+  void swap_gradients(ModelWorkspace& other) override;
+  /// Segment order W0,b0,W1,b1,...: dense spans are [b0, W1, b1, ...].
+  GradientViews gradient_views() const override {
+    GradientViews views;
+    views.input = &grad_w1;
+    views.dense.push_back({grad_b[0].data(), grad_b[0].size()});
+    for (std::size_t l = 1; l < grad_b.size(); ++l) {
+      views.dense.push_back(grad_w[l - 1].flat());
+      views.dense.push_back({grad_b[l].data(), grad_b[l].size()});
+    }
+    return views;
+  }
 };
 
 }  // namespace hetero::nn

@@ -4,7 +4,6 @@
 #include <stdexcept>
 
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 
 namespace hetero::nn {
 
@@ -41,28 +40,16 @@ std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
       throw std::invalid_argument("hidden layer sizes must be positive");
     }
   }
-  switch (kind) {
-    case ModelKind::kMlp: {
-      if (hidden.size() != 1) {
-        throw std::invalid_argument(
-            "--model mlp takes exactly one hidden width (use --model deep "
-            "for multi-layer architectures)");
-      }
-      MlpConfig cfg;
-      cfg.num_features = num_features;
-      cfg.hidden = hidden.front();
-      cfg.num_classes = num_classes;
-      return std::make_unique<MlpModel>(cfg);
-    }
-    case ModelKind::kDeep: {
-      DeepMlpConfig cfg;
-      cfg.num_features = num_features;
-      cfg.hidden.assign(hidden.begin(), hidden.end());
-      cfg.num_classes = num_classes;
-      return std::make_unique<DeepMlp>(cfg);
-    }
+  if (kind == ModelKind::kMlp && hidden.size() != 1) {
+    throw std::invalid_argument(
+        "--model mlp takes exactly one hidden width (use --model deep "
+        "for multi-layer architectures)");
   }
-  throw std::invalid_argument("unknown model kind");
+  DeepMlp::Config cfg;
+  cfg.num_features = num_features;
+  cfg.hidden.assign(hidden.begin(), hidden.end());
+  cfg.num_classes = num_classes;
+  return std::make_unique<DeepMlp>(cfg);
 }
 
 }  // namespace hetero::nn

@@ -1,14 +1,15 @@
 // Model abstraction: the contract between a neural network and the
 // multi-GPU training stack.
 //
-// The paper's evaluation model is a 3-layer MLP (MlpModel), but HeteroGPU is
+// The paper's evaluation model is a 3-layer MLP, but HeteroGPU is
 // positioned as a framework for sparse deep learning in general, and the
-// journal version evaluates deeper architectures. Everything above this
-// interface — MultiGpuRuntime, the trainers, the fused merge kernels in
-// core/merging, the sharded all-reduce, checkpointing, the CLI — is written
-// against nn::Model, so a new architecture plugs into the whole stack
-// (dynamic scheduling, delta merging, cost accounting, serialization) by
-// implementing this one interface.
+// journal version evaluates deeper architectures. nn::DeepMlp implements
+// both (the paper's model is DeepMlp with one hidden layer). Everything
+// above this interface — MultiGpuRuntime, the trainers, the fused merge
+// kernels in core/merging, the sharded all-reduce, checkpointing, the CLI —
+// is written against nn::Model, so a new architecture plugs into the whole
+// stack (dynamic scheduling, delta merging, cost accounting, serialization)
+// by implementing this one interface.
 //
 // Contract highlights:
 //   - segment_views() exposes the parameters as an ordered list of in-place
@@ -188,9 +189,9 @@ enum class ModelKind { kMlp, kDeep };
 
 std::string to_string(ModelKind kind);
 
-/// Factory: builds a model of `kind` over the given architecture.
-/// kMlp requires exactly one hidden width; kDeep accepts one or more.
-/// Throws std::invalid_argument on an empty hidden list or a zero width.
+/// Factory: builds a DeepMlp over the given architecture. kMlp requires
+/// exactly one hidden width; kDeep accepts one or more. Throws
+/// std::invalid_argument on an empty hidden list or a zero width.
 std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
                                   std::span<const std::size_t> hidden,
                                   std::size_t num_classes);

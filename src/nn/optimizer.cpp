@@ -37,11 +37,11 @@ std::optional<OptimizerKind> optimizer_kind_from_byte(std::uint8_t b) {
 
 namespace {
 
-/// The fused SGD path: Model::apply_gradients IS the pre-refactor sgd_step
-/// update (train_step == compute_gradients + apply_gradients), so routing
-/// through this class is bit-identical to the old fused step by
-/// construction. Stateless; the step counter only feeds diagnostics and
-/// checkpoint round-trips.
+/// The fused SGD path: Model::apply_gradients IS the train_step update
+/// (train_step == compute_gradients + apply_gradients), so routing through
+/// this class is bit-identical to the fused step by construction.
+/// Stateless; the step counter only feeds diagnostics and checkpoint
+/// round-trips.
 class SgdOptimizer final : public Optimizer {
  public:
   OptimizerKind kind() const override { return OptimizerKind::kSgd; }

@@ -3,8 +3,8 @@
 // matrices shaped by Model::segment_views().
 //
 // Four algorithms (DESIGN.md §11):
-//   sgd     — delegates to Model::apply_gradients, the fused path that is
-//             bit-identical to the pre-refactor sgd_step. No state.
+//   sgd     — delegates to Model::apply_gradients, so it is bit-identical
+//             to Model::train_step. No state.
 //   adam    — per-coordinate first/second moments with bias correction and
 //             coupled L2 (weight decay folded into the gradient).
 //   adamw   — Adam with DECOUPLED weight decay: the parameter is shrunk by
@@ -26,8 +26,8 @@
 // any optimizer. The semantics per algorithm:
 //   sgd/adagrad — coupled L2. sgd keeps the historical multiplicative form
 //     w = (1 - lr*wd)*w - lr*g, which is algebraically w - lr*(g + wd*w)
-//     folded into one keep factor (and is what pre-refactor sgd_step
-//     computed, preserving bit-identity); adagrad folds wd*w into the
+//     folded into one keep factor (and is what Model::train_step
+//     computes, preserving bit-identity); adagrad folds wd*w into the
 //     gradient BEFORE the accumulator so the decay sees adaptive scaling.
 //   adamw — decoupled: w = (1 - lr*wd)*w - lr*adam_update(g); the decay
 //     never enters the moments.

@@ -15,7 +15,7 @@ namespace hetero::nn {
 
 namespace {
 constexpr char kMagic[4] = {'H', 'G', 'P', 'U'};
-constexpr std::uint32_t kVersionMlp = 1;
+constexpr std::uint32_t kVersionOneHidden = 1;
 constexpr std::uint32_t kVersionLayerList = 2;
 // Sanity bound for v2 headers: a corrupt num_hidden must fail fast instead
 // of driving a multi-gigabyte allocation.
@@ -79,13 +79,13 @@ void read_params(std::istream& in, Model& model) {
 
 void save_model(std::ostream& out, const Model& model) {
   out.write(kMagic, sizeof(kMagic));
-  if (const auto* mlp = dynamic_cast<const MlpModel*>(&model)) {
-    write_pod(out, kVersionMlp);
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().num_features));
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().hidden));
-    write_pod(out, static_cast<std::uint64_t>(mlp->config().num_classes));
+  const auto& info = model.info();
+  if (info.hidden.size() == 1) {
+    write_pod(out, kVersionOneHidden);
+    write_pod(out, static_cast<std::uint64_t>(info.num_features));
+    write_pod(out, static_cast<std::uint64_t>(info.hidden.front()));
+    write_pod(out, static_cast<std::uint64_t>(info.num_classes));
   } else {
-    const auto& info = model.info();
     write_pod(out, kVersionLayerList);
     write_pod(out, static_cast<std::uint64_t>(info.hidden.size()));
     write_pod(out, static_cast<std::uint64_t>(info.num_features));
@@ -110,91 +110,52 @@ std::unique_ptr<Model> load_any_model(std::istream& in) {
     bad_blob(in, "bad magic");
   }
   const auto version = read_pod<std::uint32_t>(in);
-  if (version == kVersionMlp) {
-    const auto num_features = read_pod<std::uint64_t>(in);
-    const auto hidden = read_pod<std::uint64_t>(in);
-    const auto num_classes = read_pod<std::uint64_t>(in);
-    if (num_features == 0 || hidden == 0 || num_classes == 0) {
-      bad_blob(in, "zero model dimension");
-    }
-    // W1 + b1 + W2 + b2, in 128-bit so hostile dimensions cannot wrap.
-    const auto params =
-        static_cast<unsigned __int128>(num_features) * hidden + hidden +
-        static_cast<unsigned __int128>(hidden) * num_classes + num_classes;
-    check_params_present(in, params);
-    MlpConfig cfg;
-    cfg.num_features = static_cast<std::size_t>(num_features);
-    cfg.hidden = static_cast<std::size_t>(hidden);
-    cfg.num_classes = static_cast<std::size_t>(num_classes);
-    auto model = std::make_unique<MlpModel>(cfg);
-    read_params(in, *model);
-    return model;
-  }
-  if (version == kVersionLayerList) {
+  const auto read_dim = [&in] {
+    return static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+  };
+  // Both versions describe a DeepMlp: v1 is the one-hidden-layer case.
+  DeepMlp::Config cfg;
+  if (version == kVersionOneHidden) {
+    cfg.num_features = read_dim();
+    cfg.hidden = {read_dim()};
+    cfg.num_classes = read_dim();
+  } else if (version == kVersionLayerList) {
     const auto num_hidden = read_pod<std::uint64_t>(in);
     if (num_hidden == 0 || num_hidden > kMaxHiddenLayers) {
       bad_blob(in, "bad hidden-layer count " + std::to_string(num_hidden));
     }
-    DeepMlpConfig cfg;
-    cfg.num_features = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
+    cfg.num_features = read_dim();
     cfg.hidden.clear();
     for (std::uint64_t l = 0; l < num_hidden; ++l) {
-      const auto width = read_pod<std::uint64_t>(in);
-      if (width == 0) {
-        bad_blob(in, "zero-width hidden layer");
-      }
-      cfg.hidden.push_back(static_cast<std::size_t>(width));
+      cfg.hidden.push_back(read_dim());
     }
-    cfg.num_classes = static_cast<std::size_t>(read_pod<std::uint64_t>(in));
-    if (cfg.num_features == 0 || cfg.num_classes == 0) {
-      bad_blob(in, "zero model dimension");
-    }
-    unsigned __int128 params = 0;
-    std::uint64_t prev = static_cast<std::uint64_t>(cfg.num_features);
-    for (const std::size_t h : cfg.hidden) {
-      params += static_cast<unsigned __int128>(prev) * h + h;
-      prev = h;
-    }
-    params += static_cast<unsigned __int128>(prev) * cfg.num_classes +
-              cfg.num_classes;
-    check_params_present(in, params);
-    auto model = std::make_unique<DeepMlp>(cfg);
-    read_params(in, *model);
-    return model;
+    cfg.num_classes = read_dim();
+  } else {
+    bad_blob(in, "unsupported version " + std::to_string(version));
   }
-  bad_blob(in, "unsupported version " + std::to_string(version));
+  if (cfg.num_features == 0 || cfg.num_classes == 0) {
+    bad_blob(in, "zero model dimension");
+  }
+  // W_l + b_l per layer, in 128-bit so hostile dimensions cannot wrap.
+  unsigned __int128 params = 0;
+  std::uint64_t prev = static_cast<std::uint64_t>(cfg.num_features);
+  for (const std::size_t h : cfg.hidden) {
+    if (h == 0) bad_blob(in, "zero-width hidden layer");
+    params += static_cast<unsigned __int128>(prev) * h + h;
+    prev = h;
+  }
+  params += static_cast<unsigned __int128>(prev) * cfg.num_classes +
+            cfg.num_classes;
+  check_params_present(in, params);
+  auto model = std::make_unique<DeepMlp>(cfg);
+  read_params(in, *model);
+  return model;
 }
 
 std::unique_ptr<Model> load_any_model_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) throw std::runtime_error("model checkpoint: cannot open " + path);
   return load_any_model(in);
-}
-
-MlpModel load_model(std::istream& in) {
-  const auto any = load_any_model(in);
-  if (const auto* mlp = dynamic_cast<const MlpModel*>(any.get())) {
-    return *mlp;
-  }
-  const auto& info = any->info();
-  if (info.hidden.size() != 1) {
-    throw std::runtime_error(
-        "model checkpoint: not loadable as a single-hidden-layer MLP");
-  }
-  // v2 checkpoint with one hidden layer: same flat layout as MlpModel.
-  MlpConfig cfg;
-  cfg.num_features = info.num_features;
-  cfg.hidden = info.hidden.front();
-  cfg.num_classes = info.num_classes;
-  MlpModel model(cfg);
-  model.from_flat(any->to_flat());
-  return model;
-}
-
-MlpModel load_model_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("model checkpoint: cannot open " + path);
-  return load_model(in);
 }
 
 }  // namespace hetero::nn

@@ -9,37 +9,31 @@
 //   hidden[0..num_hidden) u64 | num_classes u64 | float32 parameters in
 //   to_flat() order (W_l, b_l per layer).
 //
-// save_model writes v1 for an MlpModel — old checkpoints and old readers
-// keep working byte-for-byte — and v2 for everything else. Little-endian
-// host order (the format is a local checkpoint, not a wire protocol).
+// save_model picks the format from the architecture: v1 for one hidden
+// layer — byte-for-byte the legacy layout, so old readers keep working —
+// and v2 for deeper models. Little-endian host order (the format is a
+// local checkpoint, not a wire protocol).
 #pragma once
 
 #include <iosfwd>
 #include <memory>
 #include <string>
 
-#include "nn/mlp.h"
 #include "nn/model.h"
 
 namespace hetero::nn {
 
 /// Writes the model; throws std::runtime_error on I/O failure.
-/// MlpModel is written as v1 (byte-identical to the legacy format);
-/// any other model kind is written as v2.
+/// A one-hidden-layer model is written as v1 (byte-identical to the legacy
+/// format); deeper models are written as v2.
 void save_model(std::ostream& out, const Model& model);
 void save_model_file(const std::string& path, const Model& model);
 
 /// Reads a checkpoint of any supported version; throws hetero::ParseError
 /// (a std::runtime_error) on malformed input — bad magic, truncation, and
 /// headers whose implied parameter payload exceeds the remaining stream
-/// size (checked before any allocation). v1 yields an MlpModel, v2 a
-/// DeepMlp.
+/// size (checked before any allocation). Both versions yield a DeepMlp.
 std::unique_ptr<Model> load_any_model(std::istream& in);
 std::unique_ptr<Model> load_any_model_file(const std::string& path);
-
-/// Legacy readers: accept only checkpoints loadable as a single-hidden-layer
-/// MlpModel (v1, or v2 with exactly one hidden layer).
-MlpModel load_model(std::istream& in);
-MlpModel load_model_file(const std::string& path);
 
 }  // namespace hetero::nn

@@ -1,7 +1,6 @@
 #include "serve/snapshot.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <fstream>
 #include <vector>
@@ -10,7 +9,6 @@
 
 #include "fault/checkpoint.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "nn/serialize.h"
 #include "sparse/ops.h"
 #include "tensor/ops.h"
@@ -39,21 +37,15 @@ ModelSnapshot::ModelSnapshot(const nn::Model& global, std::uint64_t version,
       lsh_(lsh) {
   // Resolve per-layer weight/bias views once. Scoring reads these raw
   // pointers; the clone they point into lives exactly as long as we do.
-  if (const auto* mlp = dynamic_cast<const nn::MlpModel*>(model_.get())) {
-    weights_ = {&mlp->w1(), &mlp->w2()};
-    biases_ = {mlp->b1(), mlp->b2()};
-  } else if (const auto* deep =
-                 dynamic_cast<const nn::DeepMlp*>(model_.get())) {
-    const std::size_t layers = deep->info().num_layers();
-    for (std::size_t l = 0; l < layers; ++l) {
-      weights_.push_back(&deep->weights(l));
-      biases_.emplace_back(deep->biases(l));
-    }
-  } else {
+  const auto* deep = dynamic_cast<const nn::DeepMlp*>(model_.get());
+  if (deep == nullptr) {
     throw std::invalid_argument(
         "ModelSnapshot: unknown model kind (no layer accessors)");
   }
-  assert(weights_.size() == info().num_layers());
+  for (std::size_t l = 0; l < info().num_layers(); ++l) {
+    weights_.push_back(&deep->weights(l));
+    biases_.emplace_back(deep->biases(l));
+  }
 }
 
 void ModelSnapshot::forward_hidden(const sparse::CsrMatrix& x,

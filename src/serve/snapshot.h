@@ -67,8 +67,8 @@ struct QueryScratch {
 
 class ModelSnapshot {
  public:
-  /// Deep-copies `global`. Throws std::invalid_argument for model kinds
-  /// without per-layer weight accessors (MlpModel and DeepMlp are known).
+  /// Deep-copies `global`. Throws std::invalid_argument for a model that is
+  /// not an nn::DeepMlp (the per-layer weight views come from it).
   ModelSnapshot(const nn::Model& global, std::uint64_t version, double vtime,
                 const LshParams& lsh);
 

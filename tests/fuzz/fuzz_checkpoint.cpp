@@ -11,7 +11,6 @@
 
 #include "fault/checkpoint.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "nn/serialize.h"
 #include "util/error.h"
 #include "util/fuzz.h"
@@ -21,19 +20,20 @@ namespace {
 
 namespace fuzz = util::fuzz;
 
+// One hidden layer: written as v1.
 std::string serialized_model_v1() {
-  nn::MlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 12;
-  cfg.hidden = 6;
+  cfg.hidden = {6};
   cfg.num_classes = 4;
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   std::ostringstream out(std::ios::binary);
   nn::save_model(out, model);
   return out.str();
 }
 
 std::string serialized_model_v2() {
-  nn::DeepMlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 10;
   cfg.hidden = {8, 5};
   cfg.num_classes = 3;

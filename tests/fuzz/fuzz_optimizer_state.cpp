@@ -15,7 +15,7 @@
 #include <string>
 
 #include "fault/checkpoint.h"
-#include "nn/mlp.h"
+#include "nn/deep_mlp.h"
 #include "nn/serialize.h"
 #include "util/error.h"
 #include "util/fuzz.h"
@@ -26,11 +26,11 @@ namespace {
 namespace fuzz = util::fuzz;
 
 std::string serialized_model() {
-  nn::MlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 12;
-  cfg.hidden = 6;
+  cfg.hidden = {6};
   cfg.num_classes = 4;
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   std::ostringstream out(std::ios::binary);
   nn::save_model(out, model);
   return out.str();

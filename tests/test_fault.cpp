@@ -847,6 +847,76 @@ TEST_F(FaultTest, RestoreRejectsMismatchedTrainer) {
                std::runtime_error);
 }
 
+TEST_F(FaultTest, RestoreRejectsEqualCountDifferentShape) {
+  // Two layer lists {1, b} and {2, b'} holding the same number of
+  // parameters for this dataset's F and C (F=512, C=64: {1,23} and {2,15}).
+  const std::size_t f = dataset_.train.features.cols();
+  const std::size_t c = dataset_.train.labels.cols();
+  const auto count = [&](std::size_t a, std::size_t b) {
+    return f * a + a + a * b + b + b * c + c;
+  };
+  std::vector<std::size_t> saved_hidden, other_hidden;
+  for (std::size_t b = 1; b < 512 && saved_hidden.empty(); ++b) {
+    for (std::size_t b2 = 1; b2 < 512; ++b2) {
+      if (count(1, b) == count(2, b2)) {
+        saved_hidden = {1, b};
+        other_hidden = {2, b2};
+        break;
+      }
+    }
+  }
+  ASSERT_FALSE(saved_hidden.empty());
+
+  auto cfg = config();
+  cfg.model_kind = nn::ModelKind::kDeep;
+  cfg.num_megabatches = 1;
+  cfg.hidden_layers = saved_hidden;
+  core::AdaptiveSgdTrainer trainer(dataset_, cfg, sim::v100_heterogeneous(2));
+  trainer.train();
+  const auto ckpt = fault::capture_checkpoint(trainer);
+
+  cfg.hidden_layers = other_hidden;
+  core::AdaptiveSgdTrainer other(dataset_, cfg, sim::v100_heterogeneous(2));
+  ASSERT_EQ(other.runtime().global_model().num_parameters(),
+            trainer.runtime().global_model().num_parameters());
+  const auto before = other.runtime().global_model().to_flat();
+  try {
+    fault::restore_checkpoint(other, ckpt);
+    FAIL() << "restore accepted a model of another shape";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    const auto shape = [&](const std::vector<std::size_t>& hidden) {
+      return std::to_string(f) + "x" + std::to_string(hidden[0]) + "x" +
+             std::to_string(hidden[1]) + "x" + std::to_string(c);
+    };
+    EXPECT_NE(what.find(shape(saved_hidden)), std::string::npos) << what;
+    EXPECT_NE(what.find(shape(other_hidden)), std::string::npos) << what;
+  }
+  // Rejected before any runtime state changed.
+  EXPECT_EQ(other.runtime().global_model().to_flat(), before);
+  EXPECT_EQ(other.runtime().samples_served(), 0u);
+}
+
+TEST_F(FaultTest, MlpCheckpointResumesAsOneHiddenDeep) {
+  // --model mlp and --model deep with one width are the same model, so a
+  // checkpoint of one restores into the other and resumes bit-identically.
+  auto cfg = config();
+  cfg.num_megabatches = 2;
+  core::AdaptiveSgdTrainer mlp(dataset_, cfg, sim::v100_heterogeneous(2));
+  mlp.train();
+  const auto ckpt = fault::capture_checkpoint(mlp);
+
+  auto deep_cfg = cfg;
+  deep_cfg.model_kind = nn::ModelKind::kDeep;
+  deep_cfg.hidden_layers = {cfg.hidden};
+  core::AdaptiveSgdTrainer deep(dataset_, deep_cfg,
+                                sim::v100_heterogeneous(2));
+  fault::restore_checkpoint(deep, ckpt);
+  EXPECT_EQ(deep.runtime().global_model().to_flat(),
+            mlp.runtime().global_model().to_flat());
+  EXPECT_EQ(fault::capture_checkpoint(deep).global_blob, ckpt.global_blob);
+}
+
 TEST_F(FaultTest, ResumeWithFaultPlanSkipsAlreadyAppliedEvents) {
   auto cfg = config();
   cfg.num_megabatches = 6;

@@ -12,7 +12,7 @@
 #include <cmath>
 #include <vector>
 
-#include "nn/train_step.h"
+#include "nn/deep_mlp.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
 #include "sparse/sparse_gradient.h"
@@ -252,16 +252,17 @@ TEST(SparseGradient, AddScaledAccumulates) {
 TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
   util::ThreadPool pool(4);
   util::Rng rng(47);
-  nn::MlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 80;
-  cfg.hidden = 16;
+  cfg.hidden = {16};
   cfg.num_classes = 12;
-  nn::MlpModel serial_model(cfg), threaded_model(cfg);
+  nn::DeepMlp serial_model(cfg), threaded_model(cfg);
   serial_model.init(rng);
   threaded_model.from_flat(serial_model.to_flat());
 
-  nn::Workspace ws_serial, ws_threaded;
-  ws_threaded.ctx = eager_ctx(pool, 4);
+  const auto ws_serial = serial_model.make_workspace();
+  const auto ws_threaded = threaded_model.make_workspace();
+  ws_threaded->ctx = eager_ctx(pool, 4);
 
   util::Rng data_rng(48);
   for (int step = 0; step < 5; ++step) {
@@ -273,9 +274,9 @@ TEST(ParallelKernels, ThreadedSgdStepBitIdenticalToSerial) {
           {static_cast<std::uint32_t>(data_rng.next_below(cfg.num_classes))});
     }
     const auto y = yb.build();
-    const auto sa = nn::sgd_step(serial_model, x, y, 0.1f, ws_serial, 0.01f);
+    const auto sa = serial_model.train_step(x, y, 0.1f, *ws_serial, 0.01f);
     const auto sb =
-        nn::sgd_step(threaded_model, x, y, 0.1f, ws_threaded, 0.01f);
+        threaded_model.train_step(x, y, 0.1f, *ws_threaded, 0.01f);
     EXPECT_EQ(sa.loss, sb.loss);
   }
   EXPECT_EQ(serial_model.to_flat(), threaded_model.to_flat());

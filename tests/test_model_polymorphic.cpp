@@ -1,11 +1,12 @@
 // The model-polymorphic training stack, end to end: DeepMlp gradients
 // against central finite differences, and the deep model through the real
 // multi-GPU adaptive schedule — threaded bit-identical to inline, delta
-// merge bit-identical to the dense oracle, and a one-hidden-layer DeepMlp
-// bit-identical to MlpModel through the whole runtime.
+// merge bit-identical to the dense oracle, and the paper's one-hidden-layer
+// model pinned to golden merge results through the whole runtime.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -13,7 +14,6 @@
 #include "core/runtime.h"
 #include "data/synthetic.h"
 #include "nn/deep_mlp.h"
-#include "nn/mlp.h"
 #include "nn/model.h"
 #include "util/rng.h"
 
@@ -66,41 +66,46 @@ std::vector<double> analytic_gradient(const nn::Model& model,
 }
 
 TEST(DeepMlpGradients, MatchCentralFiniteDifferences) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = {6, 5};
-  cfg.num_classes = 4;
-  nn::DeepMlp model(cfg);
-  util::Rng rng(17);
-  model.init(rng);
+  // One hidden layer (the paper's model) and a deeper stack.
+  for (const auto& hidden :
+       std::vector<std::vector<std::size_t>>{{6}, {6, 5}}) {
+    nn::DeepMlp::Config cfg;
+    cfg.num_features = 12;
+    cfg.hidden = hidden;
+    cfg.num_classes = 4;
+    nn::DeepMlp model(cfg);
+    util::Rng rng(17);
+    model.init(rng);
 
-  util::Rng data_rng(18);
-  const auto x = batch_x(4, 12, data_rng);
-  const auto y = batch_y(4, 4, data_rng);
+    util::Rng data_rng(18);
+    const auto x = batch_x(4, 12, data_rng);
+    const auto y = batch_y(4, 4, data_rng);
 
-  const auto g = analytic_gradient(model, x, y);
-  const auto theta = model.to_flat();
-  const auto ws = model.make_workspace();
-  const float eps = 1e-2f;
+    const auto g = analytic_gradient(model, x, y);
+    const auto theta = model.to_flat();
+    const auto ws = model.make_workspace();
+    const float eps = 1e-2f;
 
-  // Central differences over every parameter of the (small) model. The
-  // check must also catch a gradient that is right in magnitude but wired
-  // to the wrong layer, so no sampling.
-  nn::DeepMlp probe(cfg);
-  std::size_t checked = 0;
-  for (std::size_t i = 0; i < theta.size(); ++i) {
-    auto perturbed = theta;
-    perturbed[i] = theta[i] + eps;
-    probe.from_flat(perturbed);
-    const double up = probe.forward_loss(x, y, *ws);
-    perturbed[i] = theta[i] - eps;
-    probe.from_flat(perturbed);
-    const double down = probe.forward_loss(x, y, *ws);
-    const double numeric = (up - down) / (2.0 * static_cast<double>(eps));
-    EXPECT_NEAR(numeric, g[i], 1e-3 + 0.02 * std::abs(g[i])) << "param " << i;
-    ++checked;
+    // Central differences over every parameter of the (small) model. The
+    // check must also catch a gradient that is right in magnitude but
+    // wired to the wrong layer, so no sampling.
+    nn::DeepMlp probe(cfg);
+    std::size_t checked = 0;
+    for (std::size_t i = 0; i < theta.size(); ++i) {
+      auto perturbed = theta;
+      perturbed[i] = theta[i] + eps;
+      probe.from_flat(perturbed);
+      const double up = probe.forward_loss(x, y, *ws);
+      perturbed[i] = theta[i] - eps;
+      probe.from_flat(perturbed);
+      const double down = probe.forward_loss(x, y, *ws);
+      const double numeric = (up - down) / (2.0 * static_cast<double>(eps));
+      EXPECT_NEAR(numeric, g[i], 1e-3 + 0.02 * std::abs(g[i]))
+          << "depth " << hidden.size() << " param " << i;
+      ++checked;
+    }
+    EXPECT_EQ(checked, cfg.num_parameters());
   }
-  EXPECT_EQ(checked, cfg.num_parameters());
 }
 
 // ---- Deep model through the real multi-GPU adaptive schedule -------------
@@ -198,21 +203,35 @@ TEST_F(DeepRuntimeTest, DeltaMergeBitIdenticalToDenseOracle) {
   }
 }
 
-TEST_F(DeepRuntimeTest, OneHiddenDeepMatchesMlpThroughRuntime) {
-  // Same seed, same schedule: a one-hidden-layer DeepMlp must reproduce the
-  // MlpModel runtime bit-for-bit (init consumes the rng identically and the
-  // kernel sequences are the same).
-  core::MultiGpuRuntime mlp_rt(
-      dataset_, config(nn::ModelKind::kMlp, {16}, true, 2, true),
-      sim::v100_heterogeneous(4));
-  core::MultiGpuRuntime deep_rt(
-      dataset_, config(nn::ModelKind::kDeep, {16}, true, 2, true),
-      sim::v100_heterogeneous(4));
-  const auto mlp_globals = run_schedule(mlp_rt);
-  const auto deep_globals = run_schedule(deep_rt);
-  ASSERT_EQ(mlp_globals.size(), deep_globals.size());
-  for (std::size_t m = 0; m < mlp_globals.size(); ++m) {
-    ASSERT_EQ(deep_globals[m], mlp_globals[m]) << "merge " << m;
+std::uint64_t fnv1a(const std::vector<float>& v) {
+  std::uint64_t h = 1469598103934665603ull;
+  const auto* p = reinterpret_cast<const unsigned char*>(v.data());
+  for (std::size_t i = 0; i < v.size() * sizeof(float); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+TEST_F(DeepRuntimeTest, OneHiddenRuntimeMatchesGolden) {
+  // The global model after each merge of the uneven schedule, captured
+  // from the dedicated one-hidden-layer model class this repository had
+  // before DeepMlp became its only model (threaded, delta merge, 2 kernel
+  // threads). --model mlp and --model deep with one width both build that
+  // model now, and both must reproduce it bit for bit.
+  const std::uint64_t golden[] = {0x14c6e98bf4593138ull,
+                                  0x05fc4c5297b0cc41ull,
+                                  0xa765dd8642279044ull};
+  for (const auto kind : {nn::ModelKind::kMlp, nn::ModelKind::kDeep}) {
+    core::MultiGpuRuntime rt(dataset_, config(kind, {16}, true, 2, true),
+                             sim::v100_heterogeneous(4));
+    const auto globals = run_schedule(rt);
+    ASSERT_EQ(globals.size(), std::size(golden));
+    for (std::size_t m = 0; m < globals.size(); ++m) {
+      ASSERT_EQ(globals[m].size(), 9296u);
+      EXPECT_EQ(fnv1a(globals[m]), golden[m])
+          << nn::to_string(kind) << " merge " << m;
+    }
   }
 }
 

@@ -1,23 +1,51 @@
-#include "nn/mlp.h"
-
+// The training step and evaluation of nn::DeepMlp on small shapes: the
+// Model API's train/compute/apply split, weight decay, the virtual-GPU
+// cost report, and the top-k evaluator. Parameter layout, gradient checks
+// and golden pins live in test_deep_mlp.cpp and test_model_polymorphic.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "nn/deep_mlp.h"
 #include "nn/evaluate.h"
-#include "nn/train_step.h"
 #include "sparse/csr.h"
 #include "util/rng.h"
 
 namespace hetero::nn {
 namespace {
 
-MlpConfig small_config() {
-  MlpConfig cfg;
-  cfg.num_features = 12;
-  cfg.hidden = 5;
-  cfg.num_classes = 7;
+constexpr std::size_t kFeatures = 12;
+constexpr std::size_t kHidden = 5;
+constexpr std::size_t kClasses = 7;
+
+DeepMlp::Config small_config(std::vector<std::size_t> hidden = {kHidden}) {
+  DeepMlp::Config cfg;
+  cfg.num_features = kFeatures;
+  cfg.hidden = std::move(hidden);
+  cfg.num_classes = kClasses;
   return cfg;
+}
+
+// The paper's model (one hidden layer) and a deeper stack.
+const std::vector<std::vector<std::size_t>> kDepths = {{kHidden},
+                                                       {kHidden, 4}};
+
+// A one-hidden-layer model whose W1 maps feature f to hidden unit f and
+// whose W2 lets hidden unit h vote for class vote(h) with weight 5.
+template <typename Vote>
+DeepMlp voting_model(std::size_t features, std::size_t classes, Vote vote) {
+  DeepMlp::Config cfg;
+  cfg.num_features = features;
+  cfg.hidden = {features};
+  cfg.num_classes = classes;
+  DeepMlp model(cfg);
+  const auto segs = model.segment_views();  // W1, b1, W2, b2
+  for (std::size_t f = 0; f < features; ++f) segs[0][f * features + f] = 1.0f;
+  for (std::size_t h = 0; h < features; ++h) {
+    segs[2][h * classes + vote(h)] = 5.0f;
+  }
+  return model;
 }
 
 sparse::CsrMatrix make_batch_x(std::size_t rows, std::size_t cols,
@@ -53,236 +81,152 @@ sparse::CsrMatrix make_batch_y(std::size_t rows, std::size_t classes,
   return b.build();
 }
 
-TEST(MlpModel, ParameterCount) {
-  const auto cfg = small_config();
-  EXPECT_EQ(cfg.num_parameters(), 12u * 5 + 5 + 5 * 7 + 7);
-  MlpModel m(cfg);
-  EXPECT_EQ(m.num_parameters(), cfg.num_parameters());
-  EXPECT_EQ(m.num_bytes(), cfg.num_parameters() * sizeof(float));
-}
-
-TEST(MlpModel, FlatRoundTrip) {
-  util::Rng rng(1);
-  MlpModel a(small_config());
-  a.init(rng);
-  const auto flat = a.to_flat();
-  ASSERT_EQ(flat.size(), a.num_parameters());
-  MlpModel b(small_config());
-  b.from_flat(flat);
-  EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
-}
-
-TEST(MlpModel, InitIsSeedDeterministic) {
-  util::Rng r1(5), r2(5);
-  MlpModel a(small_config()), b(small_config());
-  a.init(r1);
-  b.init(r2);
-  EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
-}
-
-TEST(MlpModel, L2NormPerParameter) {
-  MlpModel m(small_config());
-  auto flat = m.to_flat();
-  std::fill(flat.begin(), flat.end(), 2.0f);
-  m.from_flat(flat);
-  const double expected =
-      std::sqrt(4.0 * static_cast<double>(m.num_parameters())) /
-      static_cast<double>(m.num_parameters());
-  EXPECT_NEAR(m.l2_norm_per_parameter(), expected, 1e-9);
-}
-
-TEST(MlpModel, BiasesStartZero) {
-  util::Rng rng(2);
-  MlpModel m(small_config());
-  m.init(rng);
-  for (float b : m.b1()) EXPECT_EQ(b, 0.0f);
-  for (float b : m.b2()) EXPECT_EQ(b, 0.0f);
-}
-
-// Finite-difference gradient check: the most important test in this file.
-// Perturb each of a sample of parameters and compare dL/dw to the computed
-// gradient.
-TEST(TrainStep, GradientsMatchFiniteDifferences) {
-  const auto cfg = small_config();
-  util::Rng rng(3);
-  MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_batch_x(4, cfg.num_features, rng, 0.4);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-
-  Workspace ws;
-  compute_gradients(model, x, y, ws);
-
-  // Gather analytic gradients in flat order (W1, b1, W2, b2). The layer-1
-  // gradient is stored over touched rows only; scatter it dense for the
-  // element-wise comparison.
-  tensor::Matrix grad_w1_dense;
-  ws.grad_w1.to_dense(grad_w1_dense);
-  std::vector<float> analytic;
-  analytic.insert(analytic.end(), grad_w1_dense.flat().begin(),
-                  grad_w1_dense.flat().end());
-  analytic.insert(analytic.end(), ws.grad_b1.begin(), ws.grad_b1.end());
-  analytic.insert(analytic.end(), ws.grad_w2.flat().begin(),
-                  ws.grad_w2.flat().end());
-  analytic.insert(analytic.end(), ws.grad_b2.begin(), ws.grad_b2.end());
-
-  auto flat = model.to_flat();
-  const double eps = 1e-3;
-  Workspace ws2;
-  // Check a deterministic sample of parameters across all four tensors.
-  for (std::size_t i = 0; i < flat.size(); i += 7) {
-    const float saved = flat[i];
-    flat[i] = saved + static_cast<float>(eps);
-    model.from_flat(flat);
-    const double lp = forward_loss(model, x, y, ws2);
-    flat[i] = saved - static_cast<float>(eps);
-    model.from_flat(flat);
-    const double lm = forward_loss(model, x, y, ws2);
-    flat[i] = saved;
-    const double numeric = (lp - lm) / (2 * eps);
-    EXPECT_NEAR(numeric, analytic[i], 2e-2 * std::max(1.0, std::abs(numeric)))
-        << "param " << i;
+TEST(TrainStep, TrainStepEqualsComputePlusApply) {
+  for (const auto& hidden : kDepths) {
+    util::Rng rng(5);
+    DeepMlp a(small_config(hidden)), b(small_config(hidden));
+    a.init(rng);
+    b.from_flat(a.to_flat());
+    const auto x = make_batch_x(4, kFeatures, rng);
+    const auto y = make_batch_y(4, kClasses, rng);
+    const auto wa = a.make_workspace();
+    const auto wb = b.make_workspace();
+    a.train_step(x, y, 0.1f, *wa);
+    b.compute_gradients(x, y, *wb);
+    b.apply_gradients(*wb, 0.1f);
+    EXPECT_EQ(a.to_flat(), b.to_flat()) << "depth " << hidden.size();
   }
-  model.from_flat(flat);
-}
-
-TEST(TrainStep, LossDecreasesOnRepeatedSteps) {
-  const auto cfg = small_config();
-  util::Rng rng(4);
-  MlpModel model(cfg);
-  model.init(rng);
-  const auto x = make_batch_x(8, cfg.num_features, rng);
-  const auto y = make_batch_y(8, cfg.num_classes, rng);
-  Workspace ws;
-  const double initial = forward_loss(model, x, y, ws);
-  for (int i = 0; i < 100; ++i) sgd_step(model, x, y, 0.2f, ws);
-  const double after = forward_loss(model, x, y, ws);
-  // With 2 uniform labels per sample the loss floor is log(2) ~= 0.69, so
-  // require meaningful progress toward it rather than halving.
-  EXPECT_LT(after, initial * 0.75);
-}
-
-TEST(TrainStep, SgdStepEqualsComputePlusApply) {
-  const auto cfg = small_config();
-  util::Rng rng(5);
-  MlpModel a(cfg), b(cfg);
-  a.init(rng);
-  b.from_flat(a.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
-  sgd_step(a, x, y, 0.1f, wa);
-  compute_gradients(b, x, y, wb);
-  apply_gradients(b, wb, 0.1f);
-  EXPECT_NEAR(a.squared_distance(b), 0.0, 1e-12);
 }
 
 TEST(TrainStep, ComputeGradientsDoesNotTouchModel) {
-  const auto cfg = small_config();
-  util::Rng rng(6);
-  MlpModel model(cfg);
-  model.init(rng);
-  const auto before = model.to_flat();
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace ws;
-  compute_gradients(model, x, y, ws);
-  EXPECT_EQ(model.to_flat(), before);
-}
-
-TEST(TrainStep, UntouchedW1RowsKeepValues) {
-  // Sparse update property: feature rows absent from the batch must not
-  // change (this is what makes sparse training cheap).
-  const auto cfg = small_config();
-  util::Rng rng(7);
-  MlpModel model(cfg);
-  model.init(rng);
-  sparse::CsrBuilder bx(cfg.num_features);
-  bx.add_row({{3, 1.0f}, {5, 0.5f}});
-  const auto x = bx.build();
-  const auto y = make_batch_y(1, cfg.num_classes, rng);
-  const auto before = model.w1();
-  Workspace ws;
-  sgd_step(model, x, y, 0.5f, ws);
-  bool touched_changed = false;
-  for (std::size_t f = 0; f < cfg.num_features; ++f) {
-    for (std::size_t h = 0; h < cfg.hidden; ++h) {
-      if (f == 3 || f == 5) {
-        touched_changed |= (model.w1()(f, h) != before(f, h));
-        continue;
-      }
-      EXPECT_EQ(model.w1()(f, h), before(f, h)) << "row " << f;
-    }
+  for (const auto& hidden : kDepths) {
+    util::Rng rng(6);
+    DeepMlp model(small_config(hidden));
+    model.init(rng);
+    const auto before = model.to_flat();
+    const auto x = make_batch_x(4, kFeatures, rng);
+    const auto y = make_batch_y(4, kClasses, rng);
+    const auto ws = model.make_workspace();
+    model.compute_gradients(x, y, *ws);
+    EXPECT_EQ(model.to_flat(), before) << "depth " << hidden.size();
   }
-  // Some hidden units may be ReLU-dead, but not the whole rows.
-  EXPECT_TRUE(touched_changed);
 }
 
 TEST(TrainStep, StatsReportBatchShape) {
-  const auto cfg = small_config();
   util::Rng rng(8);
-  MlpModel model(cfg);
+  DeepMlp model(small_config());
   model.init(rng);
-  const auto x = make_batch_x(6, cfg.num_features, rng);
-  const auto y = make_batch_y(6, cfg.num_classes, rng);
-  Workspace ws;
-  const auto stats = sgd_step(model, x, y, 0.1f, ws);
+  const auto x = make_batch_x(6, kFeatures, rng);
+  const auto y = make_batch_y(6, kClasses, rng);
+  const auto ws = model.make_workspace();
+  const auto stats = model.train_step(x, y, 0.1f, *ws);
   EXPECT_EQ(stats.batch_size, 6u);
   EXPECT_EQ(stats.batch_nnz, x.nnz());
   EXPECT_GT(stats.loss, 0.0);
 }
 
 TEST(TrainStep, KernelDescriptorsCoverPipeline) {
-  const auto cfg = small_config();
   util::Rng rng(9);
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto kernels = step_kernels(cfg, x);
-  EXPECT_GE(kernels.size(), 10u);
-  double total_flops = 0.0;
-  int sparse_count = 0;
-  for (const auto& k : kernels) {
-    EXPECT_GE(k.flops, 0.0);
-    EXPECT_GE(k.bytes, 0.0);
-    total_flops += k.flops;
-    sparse_count += k.sparse;
+  const auto x = make_batch_x(4, kFeatures, rng);
+  for (const auto& hidden : kDepths) {
+    const auto kernels = DeepMlp(small_config(hidden)).step_kernels(x);
+    EXPECT_GE(kernels.size(), 10u);
+    double total_flops = 0.0;
+    int sparse_count = 0;
+    for (const auto& k : kernels) {
+      EXPECT_GE(k.flops, 0.0);
+      EXPECT_GE(k.bytes, 0.0);
+      total_flops += k.flops;
+      sparse_count += k.sparse;
+    }
+    EXPECT_GT(total_flops, 0.0);
+    EXPECT_EQ(sparse_count, 3);  // spmm fwd, spmm_t bwd, sparse update
   }
-  EXPECT_GT(total_flops, 0.0);
-  EXPECT_GE(sparse_count, 3);  // spmm fwd, spmm_t bwd, sparse update
 }
 
 TEST(TrainStep, KernelFlopsScaleWithNnz) {
-  const auto cfg = small_config();
-  sparse::CsrBuilder b1(cfg.num_features), b2(cfg.num_features);
+  const DeepMlp model(small_config());
+  sparse::CsrBuilder b1(kFeatures), b2(kFeatures);
   b1.add_row({{0, 1.0f}});
   b2.add_row({{0, 1.0f}, {1, 1.0f}, {2, 1.0f}, {3, 1.0f}});
-  const auto k1 = step_kernels(cfg, b1.build());
-  const auto k2 = step_kernels(cfg, b2.build());
-  double f1 = 0, f2 = 0;
-  for (const auto& k : k1)
-    if (k.sparse) f1 += k.flops;
-  for (const auto& k : k2)
-    if (k.sparse) f2 += k.flops;
-  EXPECT_GT(f2, 2 * f1);
+  const auto sparse_flops = [&](const sparse::CsrMatrix& x) {
+    double f = 0.0;
+    for (const auto& k : model.step_kernels(x)) {
+      if (k.sparse) f += k.flops;
+    }
+    return f;
+  };
+  EXPECT_GT(sparse_flops(b2.build()), 2 * sparse_flops(b1.build()));
 }
 
 TEST(TrainStep, MemoryEstimateMonotoneInBatch) {
-  const auto cfg = small_config();
-  EXPECT_LT(step_memory_bytes(cfg, 16, 10.0), step_memory_bytes(cfg, 64, 10.0));
-  EXPECT_LT(step_memory_bytes(cfg, 16, 10.0), step_memory_bytes(cfg, 16, 40.0));
+  for (const auto& hidden : kDepths) {
+    const DeepMlp model(small_config(hidden));
+    EXPECT_LT(model.step_memory_bytes(16, 10.0),
+              model.step_memory_bytes(64, 10.0));
+    EXPECT_LT(model.step_memory_bytes(16, 10.0),
+              model.step_memory_bytes(16, 40.0));
+  }
+}
+
+TEST(TrainStep, WeightDecayShrinksParameters) {
+  util::Rng rng(21);
+  DeepMlp with_decay(small_config()), without(small_config());
+  with_decay.init(rng);
+  without.from_flat(with_decay.to_flat());
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  const auto wa = with_decay.make_workspace();
+  const auto wb = without.make_workspace();
+  for (int i = 0; i < 10; ++i) {
+    with_decay.train_step(x, y, 0.1f, *wa, /*weight_decay=*/0.1f);
+    without.train_step(x, y, 0.1f, *wb);
+  }
+  EXPECT_LT(with_decay.l2_norm_per_parameter(),
+            without.l2_norm_per_parameter());
+}
+
+TEST(TrainStep, ZeroWeightDecayIsNoOp) {
+  util::Rng rng(22);
+  DeepMlp a(small_config()), b(small_config());
+  a.init(rng);
+  b.from_flat(a.to_flat());
+  const auto x = make_batch_x(4, kFeatures, rng);
+  const auto y = make_batch_y(4, kClasses, rng);
+  const auto wa = a.make_workspace();
+  const auto wb = b.make_workspace();
+  a.train_step(x, y, 0.1f, *wa, 0.0f);
+  b.train_step(x, y, 0.1f, *wb);
+  EXPECT_EQ(a.to_flat(), b.to_flat());
+}
+
+TEST(TrainStep, WeightDecayOnlyTouchedW1Rows) {
+  for (const auto& hidden : kDepths) {
+    util::Rng rng(23);
+    DeepMlp model(small_config(hidden));
+    model.init(rng);
+    sparse::CsrBuilder bx(kFeatures);
+    bx.add_row({{2, 1.0f}});
+    const auto x = bx.build();
+    const auto y = make_batch_y(1, kClasses, rng);
+    const auto before = model.weights(0);
+    const auto ws = model.make_workspace();
+    model.train_step(x, y, 0.1f, *ws, 0.5f);
+    // Untouched rows keep their exact values even with decay enabled.
+    for (std::size_t f = 0; f < kFeatures; ++f) {
+      if (f == 2) continue;
+      for (std::size_t h = 0; h < kHidden; ++h) {
+        EXPECT_EQ(model.weights(0)(f, h), before(f, h)) << "row " << f;
+      }
+    }
+  }
 }
 
 TEST(Evaluate, PerfectModelScoresFullAccuracy) {
   // Construct a model that maps feature f deterministically to class
   // f % classes, and a test set consistent with it.
-  MlpConfig cfg;
-  cfg.num_features = 8;
-  cfg.hidden = 8;
-  cfg.num_classes = 4;
-  MlpModel model(cfg);
-  // W1 = identity-ish: feature f activates hidden f.
-  for (std::size_t f = 0; f < 8; ++f) model.w1()(f, f) = 1.0f;
-  // W2: hidden h votes for class h % 4.
-  for (std::size_t h = 0; h < 8; ++h) model.w2()(h, h % 4) = 5.0f;
+  // Hidden h votes for class h % 4.
+  const auto model = voting_model(8, 4, [](std::size_t h) { return h % 4; });
 
   sparse::CsrBuilder fx(8);
   sparse::CsrBuilder fy(4);
@@ -297,62 +241,12 @@ TEST(Evaluate, PerfectModelScoresFullAccuracy) {
   EXPECT_DOUBLE_EQ(result.top5, 1.0);
 }
 
-TEST(TrainStep, WeightDecayShrinksParameters) {
-  const auto cfg = small_config();
-  util::Rng rng(21);
-  MlpModel with_decay(cfg), without(cfg);
-  with_decay.init(rng);
-  without.from_flat(with_decay.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
-  for (int i = 0; i < 10; ++i) {
-    sgd_step(with_decay, x, y, 0.1f, wa, /*weight_decay=*/0.1f);
-    sgd_step(without, x, y, 0.1f, wb);
-  }
-  EXPECT_LT(with_decay.l2_norm_per_parameter(),
-            without.l2_norm_per_parameter());
-}
-
-TEST(TrainStep, ZeroWeightDecayIsNoOp) {
-  const auto cfg = small_config();
-  util::Rng rng(22);
-  MlpModel a(cfg), b(cfg);
-  a.init(rng);
-  b.from_flat(a.to_flat());
-  const auto x = make_batch_x(4, cfg.num_features, rng);
-  const auto y = make_batch_y(4, cfg.num_classes, rng);
-  Workspace wa, wb;
-  sgd_step(a, x, y, 0.1f, wa, 0.0f);
-  sgd_step(b, x, y, 0.1f, wb);
-  EXPECT_DOUBLE_EQ(a.squared_distance(b), 0.0);
-}
-
-TEST(TrainStep, WeightDecayOnlyTouchedW1Rows) {
-  const auto cfg = small_config();
-  util::Rng rng(23);
-  MlpModel model(cfg);
-  model.init(rng);
-  sparse::CsrBuilder bx(cfg.num_features);
-  bx.add_row({{2, 1.0f}});
-  const auto x = bx.build();
-  const auto y = make_batch_y(1, cfg.num_classes, rng);
-  const auto before = model.w1();
-  Workspace ws;
-  sgd_step(model, x, y, 0.1f, ws, 0.5f);
-  // Untouched rows keep their exact values even with decay enabled.
-  for (std::size_t h = 0; h < cfg.hidden; ++h) {
-    EXPECT_EQ(model.w1()(7, h), before(7, h));
-  }
-}
-
 TEST(Evaluate, PrecisionAtKConsistency) {
-  const auto cfg = small_config();
   util::Rng rng(24);
-  MlpModel model(cfg);
+  DeepMlp model(small_config());
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(60, cfg.num_features, rng),
-                              make_batch_y(60, cfg.num_classes, rng, 3)};
+  sparse::LabeledDataset test{make_batch_x(60, kFeatures, rng),
+                              make_batch_y(60, kClasses, rng, 3)};
   const auto r = evaluate(model, test);
   // P@1 == top1 by definition; precision can only dilute as k grows past
   // the number of true labels (3 here), so P@5 <= P@3 * (3/5)... at least
@@ -366,13 +260,7 @@ TEST(Evaluate, PrecisionAtKConsistency) {
 TEST(Evaluate, PerfectModelPrecisionAtK) {
   // One true label per sample, perfectly ranked: P@1 = 1, P@3 = 1/3,
   // P@5 = 1/5.
-  MlpConfig cfg;
-  cfg.num_features = 4;
-  cfg.hidden = 4;
-  cfg.num_classes = 8;
-  MlpModel model(cfg);
-  for (std::size_t f = 0; f < 4; ++f) model.w1()(f, f) = 1.0f;
-  for (std::size_t h = 0; h < 4; ++h) model.w2()(h, h) = 5.0f;
+  const auto model = voting_model(4, 8, [](std::size_t h) { return h; });
   sparse::CsrBuilder fx(4);
   sparse::CsrBuilder fy(8);
   for (std::uint32_t f = 0; f < 4; ++f) {
@@ -387,12 +275,11 @@ TEST(Evaluate, PerfectModelPrecisionAtK) {
 }
 
 TEST(Evaluate, Top5AtLeastTop1) {
-  const auto cfg = small_config();
   util::Rng rng(10);
-  MlpModel model(cfg);
+  DeepMlp model(small_config());
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
-                              make_batch_y(50, cfg.num_classes, rng)};
+  sparse::LabeledDataset test{make_batch_x(50, kFeatures, rng),
+                              make_batch_y(50, kClasses, rng)};
   const auto result = evaluate(model, test);
   EXPECT_GE(result.top5, result.top1);
   EXPECT_LE(result.top5, 1.0);
@@ -401,25 +288,24 @@ TEST(Evaluate, Top5AtLeastTop1) {
 // Differential test: the partial-selection top-5 evaluator against a naive
 // full-sort reference, over random models and datasets.
 TEST(Evaluate, MatchesFullSortReference) {
-  const auto cfg = small_config();
   for (std::uint64_t seed = 100; seed < 108; ++seed) {
     util::Rng rng(seed);
-    MlpModel model(cfg);
+    DeepMlp model(small_config());
     model.init(rng);
-    sparse::LabeledDataset test{make_batch_x(40, cfg.num_features, rng),
-                                make_batch_y(40, cfg.num_classes, rng, 2)};
+    sparse::LabeledDataset test{make_batch_x(40, kFeatures, rng),
+                                make_batch_y(40, kClasses, rng, 2)};
     const auto fast = evaluate(model, test);
 
     // Reference: full forward + full sort per row.
-    Workspace ws;
+    const auto ws = model.make_workspace();
     std::size_t top1 = 0, top5 = 0, p3 = 0, p5 = 0;
     for (std::size_t r = 0; r < 40; ++r) {
       const auto x = test.features.slice_rows(r, r + 1);
       const auto y = test.labels.slice_rows(r, r + 1);
-      forward_loss(model, x, y, ws);
+      model.forward_loss(x, y, *ws);
       std::vector<std::pair<float, std::size_t>> scored;
-      for (std::size_t c = 0; c < cfg.num_classes; ++c) {
-        scored.push_back({ws.probs(0, c), c});
+      for (std::size_t c = 0; c < kClasses; ++c) {
+        scored.push_back({ws->probs(0, c), c});
       }
       std::stable_sort(scored.begin(), scored.end(),
                        [](const auto& a, const auto& b) {
@@ -447,12 +333,11 @@ TEST(Evaluate, MatchesFullSortReference) {
 }
 
 TEST(Evaluate, MaxSamplesLimits) {
-  const auto cfg = small_config();
   util::Rng rng(11);
-  MlpModel model(cfg);
+  DeepMlp model(small_config());
   model.init(rng);
-  sparse::LabeledDataset test{make_batch_x(50, cfg.num_features, rng),
-                              make_batch_y(50, cfg.num_classes, rng)};
+  sparse::LabeledDataset test{make_batch_x(50, kFeatures, rng),
+                              make_batch_y(50, kClasses, rng)};
   EXPECT_EQ(evaluate(model, test, 10).samples, 10u);
   EXPECT_EQ(evaluate(model, test, 0).samples, 50u);
   EXPECT_EQ(evaluate(model, test, 500).samples, 50u);

@@ -17,12 +17,13 @@
 namespace hetero {
 namespace {
 
-nn::MlpModel make_model() {
-  nn::MlpConfig cfg;
+// The paper's model: one hidden layer, serialized as v1.
+nn::DeepMlp make_model() {
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 20;
-  cfg.hidden = 6;
+  cfg.hidden = {6};
   cfg.num_classes = 9;
-  nn::MlpModel model(cfg);
+  nn::DeepMlp model(cfg);
   util::Rng rng(5);
   model.init(rng);
   return model;
@@ -32,25 +33,25 @@ TEST(Serialize, RoundTripPreservesModel) {
   const auto model = make_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
-  const auto loaded = nn::load_model(buffer);
-  EXPECT_EQ(loaded.config().num_features, 20u);
-  EXPECT_EQ(loaded.config().hidden, 6u);
-  EXPECT_EQ(loaded.config().num_classes, 9u);
-  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
+  const auto loaded = nn::load_any_model(buffer);
+  EXPECT_EQ(loaded->info().num_features, 20u);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded->info().num_classes, 9u);
+  EXPECT_EQ(loaded->to_flat(), model.to_flat());
 }
 
 TEST(Serialize, FileRoundTrip) {
   const auto model = make_model();
   const std::string path = ::testing::TempDir() + "/model.hgpu";
   nn::save_model_file(path, model);
-  const auto loaded = nn::load_model_file(path);
-  EXPECT_DOUBLE_EQ(loaded.squared_distance(model), 0.0);
+  const auto loaded = nn::load_any_model_file(path);
+  EXPECT_EQ(loaded->to_flat(), model.to_flat());
   std::remove(path.c_str());
 }
 
 TEST(Serialize, BadMagicRejected) {
   std::stringstream buffer("NOPE rest of garbage");
-  EXPECT_THROW(nn::load_model(buffer), std::runtime_error);
+  EXPECT_THROW(nn::load_any_model(buffer), std::runtime_error);
 }
 
 TEST(Serialize, TruncatedParametersRejected) {
@@ -60,21 +61,22 @@ TEST(Serialize, TruncatedParametersRejected) {
   std::string data = buffer.str();
   data.resize(data.size() / 2);
   std::stringstream truncated(data);
-  EXPECT_THROW(nn::load_model(truncated), std::runtime_error);
+  EXPECT_THROW(nn::load_any_model(truncated), std::runtime_error);
 }
 
 TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(nn::load_model_file("/nonexistent/m.hgpu"),
+  EXPECT_THROW(nn::load_any_model_file("/nonexistent/m.hgpu"),
                std::runtime_error);
   EXPECT_THROW(nn::save_model_file("/nonexistent/dir/m.hgpu", make_model()),
                std::runtime_error);
 }
 
 TEST(Serialize, V1BytesArePinned) {
-  // An MlpModel must serialize to the exact legacy v1 byte layout:
-  // "HGPU" | u32 1 | u64 F | u64 H | u64 C | float params. Checkpoints
-  // written before the layer-list format existed must stay readable, and
-  // new MlpModel checkpoints must stay readable by old builds.
+  // A one-hidden-layer model must serialize to the exact legacy v1 byte
+  // layout: "HGPU" | u32 1 | u64 F | u64 H | u64 C | float params.
+  // Checkpoints written before the layer-list format existed must stay
+  // readable, and new one-hidden-layer checkpoints must stay readable by
+  // old builds.
   const auto model = make_model();
   std::stringstream buffer;
   nn::save_model(buffer, model);
@@ -94,8 +96,23 @@ TEST(Serialize, V1BytesArePinned) {
   EXPECT_EQ(got, expected);
 }
 
+TEST(Serialize, V1BlobMatchesGolden) {
+  // FNV-1a of make_model()'s v1 bytes as written before DeepMlp became the
+  // only model class: same header, same initial parameters.
+  std::stringstream buffer;
+  nn::save_model(buffer, make_model());
+  const std::string blob = buffer.str();
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : blob) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  EXPECT_EQ(blob.size(), 788u);
+  EXPECT_EQ(h, 0xe3f4d98a3e05575dull);
+}
+
 TEST(Serialize, DeepModelRoundTripsAsV2) {
-  nn::DeepMlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 20;
   cfg.hidden = {10, 7};
   cfg.num_classes = 9;
@@ -124,41 +141,42 @@ TEST(Serialize, LoadAnyModelReadsV1AsMlp) {
   std::stringstream buffer;
   nn::save_model(buffer, model);
   const auto loaded = nn::load_any_model(buffer);
-  ASSERT_NE(dynamic_cast<const nn::MlpModel*>(loaded.get()), nullptr);
+  ASSERT_NE(dynamic_cast<const nn::DeepMlp*>(loaded.get()), nullptr);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
   EXPECT_DOUBLE_EQ(loaded->squared_distance(model), 0.0);
 }
 
 TEST(Serialize, LegacyLoaderAcceptsSingleHiddenV2) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {6};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
-  util::Rng rng(7);
-  model.init(rng);
+  // Older builds wrote --model deep with one hidden width as v2; such blobs
+  // must still load, as the same model a v1 blob yields.
+  const auto model = make_model();
+  std::string blob = "HGPU";
+  const auto append_pod = [&blob](const auto& value) {
+    blob.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  append_pod(std::uint32_t{2});
+  append_pod(std::uint64_t{1});   // num_hidden
+  append_pod(std::uint64_t{20});  // num_features
+  append_pod(std::uint64_t{6});   // hidden[0]
+  append_pod(std::uint64_t{9});   // num_classes
+  for (const float p : model.to_flat()) append_pod(p);
 
-  std::stringstream buffer;
-  nn::save_model(buffer, model);
-  const auto loaded = nn::load_model(buffer);
-  EXPECT_EQ(loaded.to_flat(), model.to_flat());
-}
+  std::stringstream buffer(blob);
+  const auto loaded = nn::load_any_model(buffer);
+  ASSERT_NE(dynamic_cast<const nn::DeepMlp*>(loaded.get()), nullptr);
+  EXPECT_EQ(loaded->info().hidden, (std::vector<std::size_t>{6}));
+  EXPECT_EQ(loaded->to_flat(), model.to_flat());
 
-TEST(Serialize, LegacyLoaderRejectsMultiLayerV2) {
-  nn::DeepMlpConfig cfg;
-  cfg.num_features = 20;
-  cfg.hidden = {10, 7};
-  cfg.num_classes = 9;
-  nn::DeepMlp model(cfg);
-  util::Rng rng(8);
-  model.init(rng);
-
-  std::stringstream buffer;
-  nn::save_model(buffer, model);
-  EXPECT_THROW(nn::load_model(buffer), std::runtime_error);
+  // Written back, it takes the v1 layout.
+  std::stringstream v1;
+  nn::save_model(v1, *loaded);
+  std::stringstream expected;
+  nn::save_model(expected, model);
+  EXPECT_EQ(v1.str(), expected.str());
 }
 
 TEST(Serialize, V2FileRoundTrip) {
-  nn::DeepMlpConfig cfg;
+  nn::DeepMlp::Config cfg;
   cfg.num_features = 20;
   cfg.hidden = {10, 7};
   cfg.num_classes = 9;
