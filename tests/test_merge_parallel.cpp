@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -529,6 +530,162 @@ TEST_F(QuantizedMergeRuntimeTest, ResidualStateResetOnCrashAndJoin) {
     bool any = false;
     for (const float v : res) any |= (v != 0.0f);
     EXPECT_TRUE(any) << "replica " << g << " residual never charged";
+  }
+}
+
+
+// ---- Golden pins: quantized merges and moment averaging ------------------
+//
+// The determinism tests above compare runs against runs, so drift that
+// hits both sides (a changed group boundary, scale rule or pass order)
+// passes them. These pins hold the exact bits of a fixed schedule: the
+// merged global model after each merge, every replica's error-feedback
+// residual and the loss-scale guard at the end, and the billed bytes and
+// seconds of each merge. They are the same on every kernel table
+// (HETERO_ISA=scalar|avx2|avx512).
+
+constexpr std::uint64_t kFnvBasis = 1469598103934665603ull;
+
+template <typename T>
+std::uint64_t fnv1a(std::span<const T> s, std::uint64_t h = kFnvBasis) {
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  for (std::size_t i = 0; i < s.size_bytes(); ++i) {
+    h ^= p[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct QuantizedPin {
+  comm::MergePrecision precision;
+  bool sparse;
+  float start_scale;  // loss-scale guard before the first merge
+  std::uint64_t global_fnv[3];
+  double payload_bytes[3];
+  double wire_bytes[3];
+  double allreduce_seconds[3];
+  std::uint64_t residual_fnv[4];
+  float loss_scale;
+};
+
+TEST_F(QuantizedMergeRuntimeTest, GoldenQuantizedMerges) {
+  const QuantizedPin pins[] = {
+      {comm::MergePrecision::kFp16, true, 0x1p+10f,
+       {0x401d74cf981bfd7eull, 0xb7ad20e7fb44cfb1ull, 0xc0b44928d843151cull},
+       {0x1.09p+14, 0x1.038p+14, 0x1.038p+14},
+       {0x1.098p+14, 0x1.04p+14, 0x1.04p+14},
+       {0x1.3b212d101d485p-13, 0x1.3b1e39261161ap-13, 0x1.3b1e39261161ap-13},
+       {0xa9fc7c0fcde3b0d1ull, 0xf2edf7c7aeea17ebull,
+        0x998160120f6029deull, 0xc25845efeba0acd2ull},
+       0x1p+10f},
+      {comm::MergePrecision::kFp16, false, 0x1p+10f,
+       {0xb3ff812b0aa9510bull, 0x2d8ae022f03ddd30ull, 0x85b2e1ff3ca790c7ull},
+       {0x1.228p+14, 0x1.228p+14, 0x1.228p+14},
+       {0x1.23p+14, 0x1.23p+14, 0x1.23p+14},
+       {0x1.3b2eddc19a474p-13, 0x1.3b2eddc19a474p-13, 0x1.3b2eddc19a474p-13},
+       {0xf8b34f093ffeb5beull, 0x652b92f13ff11582ull,
+        0x6c26afab410669bfull, 0xd277115547e489beull},
+       0x1p+10f},
+      // Starts far above fp16 range: every merge's first encode overflows
+      // and the guard halves until the codes fit (2^30 -> 2^19).
+      {comm::MergePrecision::kFp16, true, 0x1p+30f,
+       {0x401d74cf981bfd7eull, 0xd7bfd828c2c91c2dull, 0x3e863d414e1c3ea5ull},
+       {0x1.09p+14, 0x1.038p+14, 0x1.038p+14},
+       {0x1.098p+14, 0x1.04p+14, 0x1.04p+14},
+       {0x1.3b212d101d485p-13, 0x1.3b1e39261161ap-13, 0x1.3b1e39261161ap-13},
+       {0xa07c36a4eabce2edull, 0xf2edf7c7aeea17ebull,
+        0xa92895022cc0abcdull, 0x9575b88582036c49ull},
+       0x1p+19f},
+      {comm::MergePrecision::kInt8, true, 0x1p+10f,
+       {0xdd5b40be658303a3ull, 0x3b33dc894868be1dull, 0x147553894a1d2a37ull},
+       {0x1.09p+13, 0x1.038p+13, 0x1.038p+13},
+       {0x1.442p+13, 0x1.3d4p+13, 0x1.3d4p+13},
+       {0x1.3ae9a4b8a05ecp-13, 0x1.3ae7cc4658eeap-13, 0x1.3ae7cc4658eeap-13},
+       {0xf1526410e261caf2ull, 0xa32d0bd775cbc3b9ull,
+        0x56073175bae42601ull, 0xd01a0cee54ad9262ull},
+       0x1p+10f},
+      {comm::MergePrecision::kInt8, false, 0x1p+10f,
+       {0xf055488aaa975619ull, 0xd00e6db755489724ull, 0x4428d8448834e86cull},
+       {0x1.228p+13, 0x1.228p+13, 0x1.228p+13},
+       {0x1.26p+13, 0x1.26p+13, 0x1.26p+13},
+       {0x1.3ae18e8c05988p-13, 0x1.3ae18e8c05988p-13, 0x1.3ae18e8c05988p-13},
+       {0xde19d6f6c827e527ull, 0x079d6830042728ecull,
+        0x3b40c82930118c17ull, 0xc2a0c9794dc0d80full},
+       0x1p+10f},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(std::string(comm::precision_name(pin.precision)) +
+                 (pin.sparse ? " sparse" : " dense") + " start scale " +
+                 std::to_string(pin.start_scale));
+    core::MultiGpuRuntime rt(dataset_,
+                             qconfig(pin.precision, pin.sparse, 1, false),
+                             sim::v100_heterogeneous(4));
+    rt.loss_scale_guard().scale = pin.start_scale;
+    std::vector<core::MultiGpuRuntime::MergeTiming> timings;
+    const auto globals = run_schedule(rt, &timings);
+    ASSERT_EQ(globals.size(), 3u);
+    for (std::size_t m = 0; m < 3; ++m) {
+      EXPECT_EQ(fnv1a<float>(globals[m]), pin.global_fnv[m]) << "merge " << m;
+      EXPECT_EQ(timings[m].payload_bytes, pin.payload_bytes[m]) << m;
+      EXPECT_EQ(timings[m].wire_bytes, pin.wire_bytes[m]) << m;
+      EXPECT_EQ(timings[m].allreduce_seconds, pin.allreduce_seconds[m]) << m;
+    }
+    for (std::size_t g = 0; g < 4; ++g) {
+      EXPECT_EQ(fnv1a<float>(rt.residual_state(g)), pin.residual_fnv[g])
+          << "replica " << g;
+    }
+    EXPECT_EQ(rt.loss_scale_guard().scale, pin.loss_scale);
+  }
+}
+
+struct MomentPin {
+  bool sparse;
+  std::uint64_t global_fnv[3];
+  std::uint64_t slot_fnv[2];
+  std::uint64_t row_steps_fnv;
+  std::uint64_t step;
+};
+
+TEST_F(QuantizedMergeRuntimeTest, GoldenAdamMomentAverage) {
+  const MomentPin pins[] = {
+      {true,
+       {0xa00504afc324c2b2ull, 0x8363312e6e23b0dfull, 0x78f90fd2e6d85a01ull},
+       {0xd7e148f11f8763bcull, 0x95993982307f5da0ull},
+       0x85dc1a859d4a7429ull,
+       15},
+      {false,
+       {0xa00504afc324c2b2ull, 0x8363312e6e23b0dfull, 0x78f90fd2e6d85a01ull},
+       {0xd7e148f11f8763bcull, 0x95993982307f5da0ull},
+       0x85dc1a859d4a7429ull,
+       15},
+  };
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(pin.sparse ? "sparse" : "dense");
+    auto cfg = config(pin.sparse, true, 1, false);
+    cfg.optimizer.kind = nn::OptimizerKind::kAdam;
+    cfg.moment_merge = core::MomentMerge::kAverage;
+    core::MultiGpuRuntime rt(dataset_, cfg, sim::v100_heterogeneous(4));
+    const auto globals = run_schedule(rt);
+    ASSERT_EQ(globals.size(), 3u);
+    for (std::size_t m = 0; m < 3; ++m) {
+      EXPECT_EQ(fnv1a<float>(globals[m]), pin.global_fnv[m]) << "merge " << m;
+    }
+    // Averaged state is written back to every alive replica, so each
+    // replica must hold the pinned bits.
+    for (std::size_t g = 0; g < rt.num_gpus(); ++g) {
+      auto& opt = rt.optimizer(g);
+      ASSERT_EQ(opt.num_slots(), 2u);
+      for (std::size_t slot = 0; slot < 2; ++slot) {
+        std::uint64_t h = kFnvBasis;
+        for (const auto seg : opt.slot_views(slot)) {
+          h = fnv1a<float>(seg, h);
+        }
+        EXPECT_EQ(h, pin.slot_fnv[slot]) << "replica " << g << " slot " << slot;
+      }
+      EXPECT_EQ(fnv1a<std::uint32_t>(opt.row_steps()), pin.row_steps_fnv)
+          << "replica " << g;
+      EXPECT_EQ(opt.step(), pin.step) << "replica " << g;
+    }
   }
 }
 
