@@ -23,21 +23,19 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 #include <numeric>
 #include <span>
 #include <vector>
 
 #include "comm/allreduce.h"
-#include "comm/quant.h"
+#include "comm/merge_codec.h"
 #include "core/adaptive_sgd.h"
 #include "core/merging.h"
 #include "data/synthetic.h"
 #include "nn/deep_mlp.h"
 #include "sim/profiles.h"
 #include "sparse/sparse_gradient.h"
-#include "tensor/vec/vec.h"
 #include "util/kernel_context.h"
 #include "util/rng.h"
 #include "util/thread_pool.h"
@@ -268,164 +266,41 @@ void run_fused_delta_merge_deep(DeepMergeSetup& s,
   for (auto& r : s.replicas) r.copy_from(s.global);
 }
 
-// Quantized delta merge (DESIGN.md §10): the same work merge_and_update
-// does under --merge-precision fp16/int8 — error-feedback delta pass,
-// per-group quantization, fused dequant-reduce, residual update — over the
-// union-row + dense-tail payload layout the runtime ships.
-struct QuantDeltaScratch {
-  // One scale group per union W1 row, then 512-blocks of the dense tail.
-  struct Group {
-    std::size_t seg, off, dst, len;
-  };
-  sparse::RowSet merge_union;
-  std::vector<std::uint32_t> sorted;
-  std::vector<Group> groups;
-  std::size_t elems = 0;
-  std::vector<std::vector<float>> residual;          // packed payload layout
-  std::vector<std::vector<std::uint16_t>> q16;
-  std::vector<std::vector<std::int8_t>> q8;
-  std::vector<std::vector<float>> scales;
-  comm::LossScaleGuard guard;
+// Quantized delta merge (DESIGN.md §10), through the runtime's own
+// MergePlan and MergeCodec: per merge the touched-row union and group table
+// are rebuilt, then the error-feedback encode (fp16: the overflow-retry
+// loop), the fused dequant-reduce, the residual commit and the closed-form
+// untouched rows — what merge_and_update does under --merge-precision.
+struct QuantDelta {
+  core::MergePlan plan;
+  comm::MergeCodec codec;
+  std::vector<std::size_t> members;
 
-  void build(MergeSetup& s) {
-    merge_union.reset(s.cfg.num_features);
-    for (const auto& t : s.touched) merge_union.add(t);
-    merge_union.sorted_rows(sorted);
-    const auto segs = s.global.segment_views();
-    std::size_t dst = 0;
-    for (const auto row : sorted) {
-      groups.push_back({0, row * s.hidden, dst, s.hidden});
-      dst += s.hidden;
-    }
-    for (std::size_t seg = 1; seg < segs.size(); ++seg) {
-      for (std::size_t off = 0; off < segs[seg].size();
-           off += core::kQuantGroupCols) {
-        const std::size_t len =
-            std::min(core::kQuantGroupCols, segs[seg].size() - off);
-        groups.push_back({seg, off, dst, len});
-        dst += len;
-      }
-    }
-    elems = dst;
-    const std::size_t n = s.replicas.size();
-    residual.assign(n, std::vector<float>(elems, 0.0f));
-    q16.assign(n, std::vector<std::uint16_t>(elems));
-    q8.assign(n, std::vector<std::int8_t>(elems));
-    scales.assign(n, std::vector<float>(groups.size(), 0.0f));
+  QuantDelta(MergeSetup& s, comm::MergePrecision prec)
+      : plan(s.global.segment_views(), s.cfg.num_features, s.hidden),
+        codec(prec, s.replicas.size(), s.cfg.num_parameters()),
+        members(s.replicas.size()) {
+    std::iota(members.begin(), members.end(), std::size_t{0});
   }
 };
 
-void run_quantized_delta_merge(MergeSetup& s, comm::MergePrecision prec,
-                               QuantDeltaScratch& qs,
+void run_quantized_delta_merge(MergeSetup& s, QuantDelta& qd,
                                const kernels::Context& ctx) {
-  const auto& vk = *vec::kernels_for(vec::active_isa());
   const core::MergeUpdate u{s.weights, kGamma, true};
   double wsum = 0.0;
   for (const double w : s.weights) wsum += w;
-
-  // Pass A: fold this merge's delta into each replica's residual.
-  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    const auto rsegs = s.replicas[i].segment_views();
-    const auto gsegs = s.global.segment_views();
-    float* res = qs.residual[i].data();
-    kernels::parallel_for_ranges(
-        ctx, qs.groups.size(), qs.elems,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const auto& q = qs.groups[k];
-            vk.ef_delta(rsegs[q.seg].data() + q.off,
-                        gsegs[q.seg].data() + q.off, res + q.dst, q.len);
-          }
-        });
-  }
-
-  // Pass B: quantize the residuals into the wire codes.
-  float inv_scale = 1.0f;
-  if (prec == comm::MergePrecision::kInt8) {
-    for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-      const float* res = qs.residual[i].data();
-      std::int8_t* codes = qs.q8[i].data();
-      float* scales = qs.scales[i].data();
-      kernels::parallel_for_ranges(
-          ctx, qs.groups.size(), qs.elems,
-          [&](std::size_t begin, std::size_t end) {
-            for (std::size_t k = begin; k < end; ++k) {
-              const auto& q = qs.groups[k];
-              const float amax = vk.absmax(res + q.dst, q.len);
-              const bool ok = amax > 0.0f && std::isfinite(amax);
-              scales[k] = ok ? amax / 127.0f : 0.0f;
-              vk.quant_i8(res + q.dst, codes + q.dst,
-                          ok ? 127.0f / amax : 0.0f, q.len);
-            }
-          });
-    }
-  } else {
-    for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-      if (vk.quant_fp16(qs.residual[i].data(), qs.q16[i].data(),
-                        qs.guard.scale, qs.elems) > 0) {
-        qs.guard.on_overflow();
-        vk.quant_fp16(qs.residual[i].data(), qs.q16[i].data(),
-                      qs.guard.scale, qs.elems);
-      }
-    }
-    inv_scale = 1.0f / qs.guard.scale;
-  }
-
-  // Pass C: fused dequant-reduce into the global/momentum models.
-  std::vector<const std::uint16_t*> r16(s.replicas.size());
-  std::vector<const std::int8_t*> r8(s.replicas.size());
-  std::vector<const float*> rsc(s.replicas.size());
-  const auto region = [&](std::size_t code_off, std::size_t scale_off) {
-    core::QuantizedSources src;
-    src.precision = prec;
-    src.dequant_scale = inv_scale;
-    for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-      r16[i] = qs.q16[i].data() + code_off;
-      r8[i] = qs.q8[i].data() + code_off;
-      rsc[i] = qs.scales[i].data() + scale_off;
-    }
-    src.fp16 = {r16.data(), r16.size()};
-    src.i8 = {r8.data(), r8.size()};
-    src.scales = {rsc.data(), rsc.size()};
-    return src;
-  };
-  auto global_segs = s.global.segment_views();
-  auto prev_segs = s.prev.segment_views();
-  core::merge_touched_rows_quantized(region(0, 0), qs.sorted, s.hidden,
-                                     wsum, u, global_segs[0].data(),
-                                     prev_segs[0].data(), ctx);
-  core::merge_untouched_rows(qs.merge_union, s.cfg.num_features,
-                             s.hidden, u, global_segs[0], prev_segs[0],
-                             ctx);
-  std::size_t code_off = qs.sorted.size() * s.hidden;
-  std::size_t scale_off = qs.sorted.size();
-  for (std::size_t seg = 1; seg < global_segs.size(); ++seg) {
-    const std::size_t len = global_segs[seg].size();
-    core::merge_segment_quantized(region(code_off, scale_off), len, wsum, u,
-                                  global_segs[seg], prev_segs[seg], kStreams,
-                                  ctx);
-    code_off += len;
-    scale_off += (len + core::kQuantGroupCols - 1) / core::kQuantGroupCols;
-  }
-
-  // Pass D: subtract what was shipped — the residual keeps the error.
-  for (std::size_t i = 0; i < s.replicas.size(); ++i) {
-    float* res = qs.residual[i].data();
-    kernels::parallel_for_ranges(
-        ctx, qs.groups.size(), qs.elems,
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            const auto& q = qs.groups[k];
-            if (prec == comm::MergePrecision::kInt8) {
-              vk.residual_i8(qs.q8[i].data() + q.dst, qs.scales[i][k],
-                             res + q.dst, q.len);
-            } else {
-              vk.residual_fp16(qs.q16[i].data() + q.dst, inv_scale,
-                               res + q.dst, q.len);
-            }
-          }
-        });
-  }
+  qd.plan.build_delta(s.touched, qd.members);
+  const auto global_segs = s.global.segment_views();
+  const auto prev_segs = s.prev.segment_views();
+  std::vector<std::vector<std::span<float>>> replica_segs;
+  for (auto& r : s.replicas) replica_segs.push_back(r.segment_views());
+  qd.codec.encode(qd.members, replica_segs, global_segs, qd.plan.groups(),
+                  qd.plan.elems(), ctx);
+  core::merge_quantized(qd.plan, qd.codec, wsum, u, global_segs, prev_segs,
+                        ctx);
+  qd.codec.commit(ctx);
+  core::merge_untouched_rows(qd.plan.touched(), s.cfg.num_features, s.hidden,
+                             u, global_segs[0], prev_segs[0], ctx);
   s.broadcast();
 }
 
@@ -532,19 +407,18 @@ void BM_MergeQuantizedDelta(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(2));
   util::ThreadPool pool(threads);
   const kernels::Context ctx{threads > 1 ? &pool : nullptr, threads};
-  QuantDeltaScratch qs;
-  qs.build(s);
+  QuantDelta qd(s, prec);
   for (auto _ : state) {
-    run_quantized_delta_merge(s, prec, qs, ctx);
+    run_quantized_delta_merge(s, qd, ctx);
     benchmark::DoNotOptimize(s.global.weights(0).data());
   }
-  const auto wire = comm::wire_payload(
-      prec, qs.groups.size(), qs.elems);
-  state.counters["union_rows"] = static_cast<double>(qs.merge_union.size());
+  const auto wire =
+      comm::wire_payload(prec, qd.plan.num_groups(), qd.plan.elems());
+  state.counters["union_rows"] = static_cast<double>(qd.plan.rows().size());
   state.counters["payload_bytes"] = static_cast<double>(wire.payload_bytes);
   state.counters["wire_bytes"] = static_cast<double>(wire.total());
   state.counters["fp32_payload_bytes"] =
-      static_cast<double>(qs.elems * sizeof(float));
+      static_cast<double>(qd.plan.elems() * sizeof(float));
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(s.cfg.num_parameters()));
 }
@@ -669,15 +543,14 @@ void BM_SmokeMergePaths(benchmark::State& state) {
   sparse::RowSet deep_union;
   deep_union.reset(deep.cfg.num_features);
   std::vector<std::uint32_t> deep_sorted;
-  QuantDeltaScratch qs8, qs16;
-  qs8.build(s);
-  qs16.build(s);
+  QuantDelta q8(s, comm::MergePrecision::kInt8);
+  QuantDelta q16(s, comm::MergePrecision::kFp16);
   for (auto _ : state) {
     run_pr1_merge(s, global_flat, prev_flat, acc);
     run_fused_dense_merge(s, ctx);
     run_fused_delta_merge(s, merge_union, sorted, ctx);
-    run_quantized_delta_merge(s, comm::MergePrecision::kInt8, qs8, ctx);
-    run_quantized_delta_merge(s, comm::MergePrecision::kFp16, qs16, ctx);
+    run_quantized_delta_merge(s, q8, ctx);
+    run_quantized_delta_merge(s, q16, ctx);
     run_fused_delta_merge_deep(deep, deep_union, deep_sorted, ctx);
     benchmark::DoNotOptimize(s.global.weights(0).data());
     benchmark::DoNotOptimize(deep.global.segment_views()[0].data());

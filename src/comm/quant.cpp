@@ -118,6 +118,14 @@ std::size_t encode_fp16(std::span<const float> x, std::uint32_t cols,
   return vec::kernels().quant_fp16(x.data(), codes, scale, elems);
 }
 
+float encode_i8_group(const float* x, std::int8_t* codes, std::size_t n) {
+  const auto& vk = vec::kernels();
+  const float amax = vk.absmax(x, n);
+  const bool ok = amax > 0.0f && std::isfinite(amax);
+  vk.quant_i8(x, codes, ok ? 127.0f / amax : 0.0f, n);
+  return ok ? amax / 127.0f : 0.0f;
+}
+
 void encode_i8(std::span<const float> x, std::uint32_t cols,
                std::vector<std::uint8_t>& out) {
   const std::uint64_t elems = x.size();
@@ -127,20 +135,11 @@ void encode_i8(std::span<const float> x, std::uint32_t cols,
   auto* scales = reinterpret_cast<float*>(out.data() + kHeaderBytes);
   auto* codes = reinterpret_cast<std::int8_t*>(out.data() + kHeaderBytes +
                                                rows * sizeof(float));
-  const auto& vk = vec::kernels();
   for (std::uint64_t g = 0; g < rows; ++g) {
     const std::size_t base = static_cast<std::size_t>(g) * cols;
-    const std::size_t len =
-        std::min<std::size_t>(cols, static_cast<std::size_t>(elems) - base);
-    const float amax = vk.absmax(x.data() + base, len);
-    float store = 0.0f;   // dequantization scale shipped on the wire
-    float mult = 0.0f;    // quantization multiplier
-    if (amax > 0.0f && std::isfinite(amax)) {
-      store = amax / 127.0f;
-      mult = 127.0f / amax;
-    }
-    scales[g] = store;
-    vk.quant_i8(x.data() + base, codes + base, mult, len);
+    scales[g] = encode_i8_group(
+        x.data() + base, codes + base,
+        std::min<std::size_t>(cols, static_cast<std::size_t>(elems) - base));
   }
 }
 

@@ -107,9 +107,14 @@ WirePayload wire_payload(MergePrecision p, std::uint64_t rows,
 std::size_t encode_fp16(std::span<const float> x, std::uint32_t cols,
                         float scale, std::vector<std::uint8_t>& out);
 
-/// Quantizes `x` into the int8 wire format with one scale per group:
-/// scale_g = absmax_g / 127, code = rne(clamp(x * 127 / absmax_g)). An
-/// all-zero (or non-finite-absmax) group gets scale 0 and zero codes.
+/// The int8 scale rule for one group of `n` elements: writes the codes
+/// rne(clamp(x * 127 / absmax)) and returns the wire scale absmax / 127
+/// (code * scale = value). An all-zero (or non-finite-absmax) group gets
+/// scale 0 and zero codes. encode_i8 and the merge codec both use it.
+float encode_i8_group(const float* x, std::int8_t* codes, std::size_t n);
+
+/// Quantizes `x` into the int8 wire format with one encode_i8_group scale
+/// per `cols`-wide group.
 void encode_i8(std::span<const float> x, std::uint32_t cols,
                std::vector<std::uint8_t>& out);
 

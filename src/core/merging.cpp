@@ -100,12 +100,23 @@ namespace {
 // traffic) from the merge path.
 constexpr std::size_t kMergeBlock = 512;
 
+// Writes a merged block into global/prev. The momentum finalize mirrors
+// momentum_global_update exactly (same float expression, same order) —
+// keep the two in sync or the determinism contract breaks.
+inline void finalize_block(double* acc, float* g, float* p,
+                           const MergeUpdate& u, std::size_t len,
+                           const vec::VecKernels& vk) {
+  if (u.momentum) {
+    vk.merge_finalize_momentum(acc, g, p, static_cast<float>(u.gamma), len);
+  } else {
+    vk.merge_finalize_plain(acc, g, p, len);
+  }
+}
+
 // Fused reduce + update of elements [off, off+len) of one segment, where
 // each source pointer i yields x_i[j] for the weighted sum. The vec merge
 // kernels are element-wise in double, so the block stays bit-identical to
-// the element-at-a-time reference on every ISA; the momentum finalize
-// mirrors momentum_global_update exactly (same float expression, same
-// order) — keep the two in sync or the determinism contract breaks.
+// the element-at-a-time reference on every ISA.
 inline void merge_block(std::span<const float* const> sources,
                         std::size_t off, std::size_t len,
                         const MergeUpdate& u, float* global, float* prev,
@@ -115,49 +126,7 @@ inline void merge_block(std::span<const float* const> sources,
   for (std::size_t i = 1; i < sources.size(); ++i) {
     vk.merge_accum(acc, sources[i] + off, u.weights[i], len);
   }
-  float* g = global + off;
-  float* p = prev + off;
-  if (u.momentum) {
-    vk.merge_finalize_momentum(acc, g, p, static_cast<float>(u.gamma), len);
-  } else {
-    vk.merge_finalize_plain(acc, g, p, len);
-  }
-}
-
-// Quantized-source variant of merge_block: the accumulator starts at
-// wsum * global (the untouched-mass term of the delta reconstruction) and
-// each replica contributes w_i * dequant(code). Block == scale group on the
-// dense path; on the touched-row path `group` stays the union-row index
-// across a row's blocks.
-static_assert(kQuantGroupCols == kMergeBlock,
-              "quantized scale groups must cover whole merge blocks");
-
-inline void merge_block_quantized(const QuantizedSources& src,
-                                  std::size_t code_off, std::size_t group,
-                                  std::size_t out_off, std::size_t len,
-                                  double wsum, const MergeUpdate& u,
-                                  float* global, float* prev,
-                                  const vec::VecKernels& vk) {
-  double acc[kMergeBlock];
-  vk.merge_init(acc, global + out_off, wsum, len);
-  if (src.precision == comm::MergePrecision::kInt8) {
-    for (std::size_t i = 0; i < src.i8.size(); ++i) {
-      vk.merge_accum_i8(acc, src.i8[i] + code_off, u.weights[i],
-                        src.scales[i][group], len);
-    }
-  } else {
-    for (std::size_t i = 0; i < src.fp16.size(); ++i) {
-      vk.merge_accum_fp16(acc, src.fp16[i] + code_off, u.weights[i],
-                          src.dequant_scale, len);
-    }
-  }
-  float* g = global + out_off;
-  float* p = prev + out_off;
-  if (u.momentum) {
-    vk.merge_finalize_momentum(acc, g, p, static_cast<float>(u.gamma), len);
-  } else {
-    vk.merge_finalize_plain(acc, g, p, len);
-  }
+  finalize_block(acc, global + off, prev + off, u, len, vk);
 }
 
 inline void merge_range(std::span<const float* const> sources,
@@ -196,66 +165,6 @@ void merge_segment(std::span<const float* const> replicas, std::size_t len,
       });
 }
 
-void merge_segment_quantized(const QuantizedSources& src, std::size_t len,
-                             double wsum, const MergeUpdate& u,
-                             std::span<float> global, std::span<float> prev,
-                             std::size_t min_shards,
-                             const kernels::Context& ctx) {
-  assert(src.num_replicas() == u.weights.size());
-  assert(global.size() == len);
-  assert(prev.size() == len);
-  if (len == 0) return;
-  const std::size_t num_groups =
-      (len + kQuantGroupCols - 1) / kQuantGroupCols;
-  const std::size_t work = len * u.weights.size();
-  // Shards split on group boundaries so every block sees one scale; group
-  // scales are fixed by element index, so the per-element math (and the
-  // result) is independent of the shard count.
-  std::size_t shards = std::max<std::size_t>(1, min_shards);
-  if (ctx.should_parallelize(work)) {
-    shards = std::max(shards, ctx.workers_for(len));
-  }
-  shards = std::min(shards, num_groups);
-  const auto& vk = vec::kernels();
-  kernels::parallel_for_ranges(
-      ctx, shards, work, [&](std::size_t s0, std::size_t s1) {
-        for (std::size_t s = s0; s < s1; ++s) {
-          const std::size_t g0 = num_groups * s / shards;
-          const std::size_t g1 = num_groups * (s + 1) / shards;
-          for (std::size_t g = g0; g < g1; ++g) {
-            const std::size_t off = g * kQuantGroupCols;
-            merge_block_quantized(src, off, g, off,
-                                  std::min(kQuantGroupCols, len - off), wsum,
-                                  u, global.data(), prev.data(), vk);
-          }
-        }
-      });
-}
-
-void merge_touched_rows_quantized(const QuantizedSources& src,
-                                  std::span<const std::uint32_t> rows,
-                                  std::size_t cols, double wsum,
-                                  const MergeUpdate& u, float* global,
-                                  float* prev, const kernels::Context& ctx) {
-  assert(src.num_replicas() == u.weights.size());
-  if (rows.empty() || cols == 0) return;
-  const std::size_t work = rows.size() * cols * u.weights.size();
-  const auto& vk = vec::kernels();
-  kernels::parallel_for_ranges(
-      ctx, rows.size(), work, [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-          const std::size_t out_base =
-              static_cast<std::size_t>(rows[r]) * cols;
-          const std::size_t code_base = r * cols;
-          for (std::size_t o = 0; o < cols; o += kMergeBlock) {
-            merge_block_quantized(src, code_base + o, /*group=*/r,
-                                  out_base + o, std::min(kMergeBlock, cols - o),
-                                  wsum, u, global, prev, vk);
-          }
-        }
-      });
-}
-
 void merge_touched_rows(std::span<const float* const> replicas,
                         std::span<const std::uint32_t> rows, std::size_t cols,
                         const MergeUpdate& u, float* global, float* prev,
@@ -271,6 +180,75 @@ void merge_touched_rows(std::span<const float* const> replicas,
           for (std::size_t o = 0; o < cols; o += kMergeBlock) {
             merge_block(replicas, base + o,
                         std::min(kMergeBlock, cols - o), u, global, prev, vk);
+          }
+        }
+      });
+}
+
+MergePlan::MergePlan(std::span<const std::span<float>> segments,
+                     std::size_t input_rows, std::size_t input_cols)
+    : input_rows_(input_rows), input_cols_(input_cols) {
+  std::size_t flat = 0;
+  for (const auto seg : segments) {
+    seg_size_.push_back(seg.size());
+    seg_flat_.push_back(flat);
+    flat += seg.size();
+  }
+  add_dense_segments(0);
+}
+
+void MergePlan::add_dense_segments(std::size_t first) {
+  for (std::size_t s = first; s < seg_size_.size(); ++s) {
+    for (std::size_t o = 0; o < seg_size_[s]; o += kQuantGroupCols) {
+      const std::size_t len = std::min(kQuantGroupCols, seg_size_[s] - o);
+      groups_.push_back({s, o, seg_flat_[s] + o, elems_, len});
+      elems_ += len;
+    }
+  }
+}
+
+const MergePlan& MergePlan::build_delta(
+    std::span<const sparse::RowSet> touched,
+    std::span<const std::size_t> members) {
+  delta_ = true;
+  if (union_.logical_rows() != input_rows_) union_.reset(input_rows_);
+  union_.clear();
+  for (const std::size_t g : members) union_.add(touched[g]);
+  union_.sorted_rows(rows_);
+  groups_.clear();
+  elems_ = 0;
+  for (const std::uint32_t r : rows_) {
+    const std::size_t off = static_cast<std::size_t>(r) * input_cols_;
+    groups_.push_back({0, off, seg_flat_[0] + off, elems_, input_cols_});
+    elems_ += input_cols_;
+  }
+  add_dense_segments(1);
+  return *this;
+}
+
+void merge_quantized(const MergePlan& plan, const comm::MergeCodec& codec,
+                     double wsum, const MergeUpdate& u,
+                     std::span<const std::span<float>> global,
+                     std::span<const std::span<float>> prev,
+                     const kernels::Context& ctx) {
+  const auto groups = plan.groups();
+  const std::size_t n = u.weights.size();
+  const auto& vk = vec::kernels();
+  kernels::parallel_for_ranges(
+      ctx, groups.size(), plan.elems() * n,
+      [&](std::size_t k0, std::size_t k1) {
+        double acc[kMergeBlock];
+        for (std::size_t k = k0; k < k1; ++k) {
+          const auto& q = groups[k];
+          float* g = global[q.seg].data() + q.off;
+          float* p = prev[q.seg].data() + q.off;
+          for (std::size_t o = 0; o < q.len; o += kMergeBlock) {
+            const std::size_t len = std::min(kMergeBlock, q.len - o);
+            vk.merge_init(acc, g + o, wsum, len);
+            for (std::size_t i = 0; i < n; ++i) {
+              codec.accumulate(acc, i, k, o, u.weights[i], len);
+            }
+            finalize_block(acc, g + o, p + o, u, len, vk);
           }
         }
       });

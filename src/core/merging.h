@@ -20,7 +20,7 @@
 #include <string>
 #include <vector>
 
-#include "comm/quant.h"
+#include "comm/merge_codec.h"
 #include "sparse/sparse_gradient.h"
 #include "util/kernel_context.h"
 
@@ -148,65 +148,74 @@ void merge_touched_rows(std::span<const float* const> replicas,
                         const MergeUpdate& u, float* global, float* prev,
                         const kernels::Context& ctx);
 
-// ---- Quantized merge (compressed payloads, DESIGN.md §10) ----------------
-//
-// When cfg.merge_precision != fp32 the runtime ships per-replica *deltas*
-// d_i = replica_i - global (with the error-feedback residual folded in)
-// quantized to fp16 or int8, and the fused merge reconstructs
-//   merged = (sum_i w_i) * global[j] + sum_i w_i * dequant(q_i[j])
-// in double precision — global initializes the accumulator once with the
-// summed weight, then each replica's dequantized code is added in index
-// order. dequant(q) is always the single-rounded float code*scale, so the
-// per-element expression (and therefore the merged model) is bit-identical
-// on every ISA and at every shard/thread count, exactly like the fp32
-// kernels above. fp16/int8 results intentionally differ from fp32 — the
-// fp32 path never goes through these functions and stays the bit-exact
-// oracle.
+// ---- Merge plan and the quantized merge (DESIGN.md §5c, §10) -------------
 
-/// Scale-group width of the quantized dense path: int8 payloads carry one
-/// fp32 scale per kQuantGroupCols-element block (W1 rows group by row in
-/// sparse mode instead). Equal to the merge accumulator block so each merge
-/// block sees exactly one scale.
+/// Scale-group width of the dense regions: int8 payloads carry one fp32
+/// scale per kQuantGroupCols-element block (W1 rows group by row in delta
+/// plans instead). Equal to the merge accumulator block.
 inline constexpr std::size_t kQuantGroupCols = 512;
 
-/// Per-replica quantized delta codes for one contiguous code region.
-/// Exactly one of fp16/i8 is non-empty, matching `precision` (never
-/// kFp32). For int8, scales[i] points at replica i's per-group fp32
-/// scales for the same region; for fp16, dequant_scale is the shared
-/// 1/loss_scale multiplier.
-struct QuantizedSources {
-  comm::MergePrecision precision = comm::MergePrecision::kFp16;
-  std::span<const std::uint16_t* const> fp16;
-  std::span<const std::int8_t* const> i8;
-  std::span<const float* const> scales;
-  float dequant_scale = 1.0f;
+/// The region one merge ships, as a table of quantization scale groups
+/// (comm::CodeGroup) packed in table order. A dense plan holds 512-blocks
+/// of every segment. A delta plan (sparse_merge) holds one group per row of
+/// the cross-replica union of touched input-layer rows (segment 0 by the
+/// Model contract), ascending, then 512-blocks of segments 1... The group
+/// boundaries are the int8 scale groups, so they are part of the merged
+/// result; elems() and num_groups() are what the merge bills.
+class MergePlan {
+ public:
+  MergePlan() = default;
+  /// The dense plan of a model with these segments, whose segment 0 is
+  /// input_rows x input_cols.
+  MergePlan(std::span<const std::span<float>> segments,
+            std::size_t input_rows, std::size_t input_cols);
 
-  std::size_t num_replicas() const {
-    return precision == comm::MergePrecision::kInt8 ? i8.size() : fp16.size();
-  }
+  /// Rebuilds as the delta plan over the union of touched[g], g in members.
+  const MergePlan& build_delta(std::span<const sparse::RowSet> touched,
+                   std::span<const std::size_t> members);
+
+  bool delta() const { return delta_; }
+  std::span<const comm::CodeGroup> groups() const { return groups_; }
+  std::size_t num_groups() const { return groups_.size(); }
+  std::size_t elems() const { return elems_; }
+  /// Delta plans: the touched-row union, as a set and sorted.
+  const sparse::RowSet& touched() const { return union_; }
+  std::span<const std::uint32_t> rows() const { return rows_; }
+  /// First segment the plan covers whole (1 for delta plans, else 0).
+  std::size_t first_dense() const { return delta_ ? 1 : 0; }
+  std::size_t input_rows() const { return input_rows_; }
+  std::size_t input_cols() const { return input_cols_; }
+
+ private:
+  void add_dense_segments(std::size_t first);
+
+  std::vector<std::size_t> seg_size_;
+  std::vector<std::size_t> seg_flat_;  // flat model offset of each segment
+  std::size_t input_rows_ = 0;
+  std::size_t input_cols_ = 0;
+  bool delta_ = false;
+  sparse::RowSet union_;
+  std::vector<std::uint32_t> rows_;
+  std::vector<comm::CodeGroup> groups_;
+  std::size_t elems_ = 0;
 };
 
-/// Quantized counterpart of merge_segment: fuses
+/// The quantized counterpart of the fused kernels, over a plan's groups:
 ///   merged = wsum * global[j] + sum_i w_i * dequant(codes_i[j])
-/// with the momentum/plain finalize. Codes and scales are segment-local
-/// (code j maps to segment element j; scale group g covers elements
-/// [g*kQuantGroupCols, ...)). Sharding splits on group boundaries, so any
-/// shard/thread count is bit-identical.
-void merge_segment_quantized(const QuantizedSources& src, std::size_t len,
-                             double wsum, const MergeUpdate& u,
-                             std::span<float> global, std::span<float> prev,
-                             std::size_t min_shards,
-                             const kernels::Context& ctx);
-
-/// Quantized counterpart of merge_touched_rows. Codes are packed in union
-/// order (union row u's codes start at u*cols); global/prev point at the
-/// full segment base and row u updates rows[u]. For int8, scales[i][u] is
-/// replica i's scale for union row u (one group per W1 row).
-void merge_touched_rows_quantized(const QuantizedSources& src,
-                                  std::span<const std::uint32_t> rows,
-                                  std::size_t cols, double wsum,
-                                  const MergeUpdate& u, float* global,
-                                  float* prev, const kernels::Context& ctx);
+/// with the momentum/plain finalize; codec member i (encoded over
+/// plan.groups()) supplies replica i's codes. Compressed merges ship
+/// per-replica deltas d_i = replica_i - global (residual folded in), so
+/// global initializes the accumulator once with the summed weight and each
+/// replica's dequantized code adds in index order. dequant is the
+/// single-rounded float code*scale, so the result is bit-identical on every
+/// ISA and at every thread count. fp16/int8 results intentionally differ
+/// from fp32: the fp32 merge never goes through this kernel and stays the
+/// bit-exact oracle.
+void merge_quantized(const MergePlan& plan, const comm::MergeCodec& codec,
+                     double wsum, const MergeUpdate& u,
+                     std::span<const std::span<float>> global,
+                     std::span<const std::span<float>> prev,
+                     const kernels::Context& ctx);
 
 /// Closed-form complement of merge_touched_rows: rows NOT in `touched` are
 /// bit-identical across replicas (untouched since the last broadcast), so

@@ -1,12 +1,10 @@
 #include "core/runtime.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cmath>
+#include <numeric>
 
 #include "core/merging.h"
-#include "tensor/vec/vec.h"
 
 #include "util/logging.h"
 
@@ -91,31 +89,16 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   loss_slots_.resize(n);
   alive_.assign(n, 1);
   crash_time_.assign(n, 0.0);
+  const auto& info = global_->info();
+  model_plan_ = MergePlan(global_->segment_views(), info.input_rows(),
+                          info.input_cols());
   if (cfg_.sparse_merge) {
     touched_w1_.resize(n);
     for (auto& t : touched_w1_) t.reset(num_features);
-    merge_union_.reset(num_features);
+    delta_plan_ = model_plan_;
   }
-  {
-    // Flat layout of the model segments (residual indexing) and the dense
-    // 512-block group count (cost-only billing of model-sized transfers).
-    const auto segs = global_->segment_views();
-    seg_offset_.resize(segs.size());
-    std::size_t off = 0;
-    for (std::size_t s = 0; s < segs.size(); ++s) {
-      seg_offset_[s] = off;
-      off += segs[s].size();
-      model_groups_ += (segs[s].size() + kQuantGroupCols - 1) / kQuantGroupCols;
-    }
-  }
-  if (compressed_merge()) {
-    const std::size_t params = global_->num_parameters();
-    residual_.resize(n);
-    for (auto& r : residual_) r.assign(params, 0.0f);
-    q16_scratch_.resize(n);
-    q8_scratch_.resize(n);
-    scale_scratch_.resize(n);
-  }
+  codec_ = comm::MergeCodec(cfg_.merge_precision, n,
+                            global_->num_parameters());
   broadcast_global();
 }
 
@@ -195,10 +178,7 @@ std::vector<std::size_t> MultiGpuRuntime::apply_crashes_until(double t) {
     // touched-row union, accumulated loss, and error-feedback residual
     // vanish with the device.
     if (cfg_.sparse_merge) touched_w1_[ev.device].clear();
-    if (!residual_.empty()) {
-      std::fill(residual_[ev.device].begin(), residual_[ev.device].end(),
-                0.0f);
-    }
+    codec_.reset(ev.device);
     optimizers_[ev.device]->reset_state();
     loss_slots_[ev.device] = LossSlot{};
     fault_stats_.crashes += 1;
@@ -217,10 +197,7 @@ std::vector<std::size_t> MultiGpuRuntime::apply_joins_until(double t) {
     replicas_[ev.device]->copy_from(*global_);
     // A joiner seeds from the merged global model; any residual left from
     // its previous membership describes deltas that no longer exist.
-    if (!residual_.empty()) {
-      std::fill(residual_[ev.device].begin(), residual_[ev.device].end(),
-                0.0f);
-    }
+    codec_.reset(ev.device);
     // The joiner's moments described a trajectory that ended at its crash;
     // it restarts from the merged global model with fresh optimizer state.
     optimizers_[ev.device]->reset_state();
@@ -370,38 +347,6 @@ comm::WirePayload MultiGpuRuntime::virtual_wire(std::size_t params,
   return w;
 }
 
-comm::WirePayload MultiGpuRuntime::virtual_model_wire() const {
-  return virtual_wire(global_->num_parameters(), model_groups_);
-}
-
-std::size_t MultiGpuRuntime::build_quant_groups(
-    std::span<const std::uint32_t> union_rows, std::size_t hidden) {
-  quant_groups_.clear();
-  const auto segs = global_->segment_views();
-  std::size_t dst = 0;
-  const auto add_dense_segment = [&](std::size_t s) {
-    const std::size_t len = segs[s].size();
-    for (std::size_t o = 0; o < len; o += kQuantGroupCols) {
-      const std::size_t blen = std::min(kQuantGroupCols, len - o);
-      quant_groups_.push_back({s, o, seg_offset_[s] + o, dst, blen});
-      dst += blen;
-    }
-  };
-  if (cfg_.sparse_merge) {
-    // One scale group per union W1 row (segment 0 by the Model contract),
-    // then 512-blocks of the dense tail.
-    for (const std::uint32_t r : union_rows) {
-      const std::size_t off = static_cast<std::size_t>(r) * hidden;
-      quant_groups_.push_back({0, off, seg_offset_[0] + off, dst, hidden});
-      dst += hidden;
-    }
-    for (std::size_t s = 1; s < segs.size(); ++s) add_dense_segment(s);
-  } else {
-    for (std::size_t s = 0; s < segs.size(); ++s) add_dense_segment(s);
-  }
-  return dst;
-}
-
 double MultiGpuRuntime::host_roundtrip_seconds(std::size_t bytes) const {
   const double up =
       links_.transfer_seconds(bytes, 0, sim::LinkModel::kHost, 1);
@@ -411,7 +356,7 @@ double MultiGpuRuntime::host_roundtrip_seconds(std::size_t bytes) const {
 }
 
 std::size_t MultiGpuRuntime::merge_optimizer_state(
-    std::span<const std::size_t> alive_idx,
+    const MergePlan& plan, std::span<const std::size_t> alive_idx,
     std::span<const double> alive_weights) {
   const std::size_t num_slots = global_optimizer_->num_slots();
   if (num_slots == 0) return 0;  // sgd: nothing to merge
@@ -435,84 +380,60 @@ std::size_t MultiGpuRuntime::merge_optimizer_state(
   std::vector<double> nw(n);
   for (std::size_t i = 0; i < n; ++i) nw[i] = alive_weights[i] / wsum;
 
-  // Per element: merged = float(sum_i nw_i * s_i[j]) accumulated in double
-  // in replica index order, written back to every alive replica. Sharding
-  // partitions elements without reordering any sum — bit-identical at any
+  // Per element of the plan's region: merged = float(sum_i nw_i * s_i[j])
+  // accumulated in double in replica index order, written back to every
+  // alive replica. A delta plan leaves untouched W1 rows with their local
+  // state, which is still bit-equal across replicas (any previously
+  // touched row was averaged at the merge that shipped it). Sharding
+  // partitions groups without reordering any sum — bit-identical at any
   // thread count, like the model merge kernels.
-  const auto average_span = [&](std::span<float* const> bases,
-                                std::size_t off, std::size_t len) {
-    for (std::size_t j = off; j < off + len; ++j) {
-      double acc = 0.0;
-      for (std::size_t i = 0; i < n; ++i) {
-        acc += nw[i] * static_cast<double>(bases[i][j]);
-      }
-      const float merged = static_cast<float>(acc);
-      for (std::size_t i = 0; i < n; ++i) bases[i][j] = merged;
-    }
-  };
-  const auto average_region = [&](std::span<float* const> bases,
-                                  std::size_t len) {
-    kernels::parallel_for_ranges(merge_ctx_, len, len * n,
-                                 [&](std::size_t b, std::size_t e) {
-                                   average_span(bases, b, e - b);
-                                 });
-  };
-
-  const auto& info = global_->info();
-  const std::size_t hidden = info.input_cols();
-  std::vector<float*> bases(n);
-  std::size_t shipped = 0;
+  const auto groups = plan.groups();
+  std::vector<std::vector<std::span<float>>> views(n);
   for (std::size_t slot = 0; slot < num_slots; ++slot) {
-    std::vector<std::vector<std::span<float>>> views;
-    views.reserve(n);
-    for (const std::size_t g : alive_idx) {
-      views.push_back(optimizers_[g]->slot_views(slot));
+    for (std::size_t i = 0; i < n; ++i) {
+      views[i] = optimizers_[alive_idx[i]]->slot_views(slot);
     }
-    const std::size_t num_segments = views[0].size();
-    std::size_t first_dense = 0;
-    if (cfg_.sparse_merge) {
-      // Segment 0: the touched union only — untouched rows keep local
-      // state, which is still bit-equal across replicas (any previously
-      // touched row was averaged at the merge that shipped it).
-      for (std::size_t i = 0; i < n; ++i) bases[i] = views[i][0].data();
-      const std::span<const std::uint32_t> rows = merge_rows_scratch_;
-      kernels::parallel_for_ranges(
-          merge_ctx_, rows.size(), rows.size() * hidden * n,
-          [&](std::size_t r0, std::size_t r1) {
-            for (std::size_t s = r0; s < r1; ++s) {
-              average_span(bases,
-                           static_cast<std::size_t>(rows[s]) * hidden,
-                           hidden);
+    kernels::parallel_for_ranges(
+        merge_ctx_, groups.size(), plan.elems() * n,
+        [&](std::size_t k0, std::size_t k1) {
+          std::vector<float*> bases(n);
+          for (std::size_t k = k0; k < k1; ++k) {
+            const auto& q = groups[k];
+            for (std::size_t i = 0; i < n; ++i) {
+              bases[i] = views[i][q.seg].data() + q.off;
             }
-          });
-      shipped += rows.size() * hidden;
-      first_dense = 1;
-    }
-    for (std::size_t seg = first_dense; seg < num_segments; ++seg) {
-      for (std::size_t i = 0; i < n; ++i) bases[i] = views[i][seg].data();
-      average_region(bases, views[0][seg].size());
-      shipped += views[0][seg].size();
-    }
+            for (std::size_t j = 0; j < q.len; ++j) {
+              double acc = 0.0;
+              for (std::size_t i = 0; i < n; ++i) {
+                acc += nw[i] * static_cast<double>(bases[i][j]);
+              }
+              const float merged = static_cast<float>(acc);
+              for (std::size_t i = 0; i < n; ++i) bases[i][j] = merged;
+            }
+          }
+        });
   }
 
   // Lazy row counters (adam/adamw): a merged moment reflects the most
-  // advanced replica's trajectory, so counters take the max — written back
-  // so the survivor set stays bit-equal. Dense-tail step likewise.
+  // advanced replica's trajectory, so counters take the max over every W1
+  // row the plan covers — written back so the survivor set stays
+  // bit-equal. Dense-tail step likewise.
   if (!optimizers_[alive_idx[0]]->row_steps().empty()) {
     std::vector<std::span<std::uint32_t>> steps;
     steps.reserve(n);
     for (const std::size_t g : alive_idx) {
       steps.push_back(optimizers_[g]->row_steps());
     }
-    const auto sync_row = [&](std::size_t r) {
-      std::uint32_t m = 0;
-      for (std::size_t i = 0; i < n; ++i) m = std::max(m, steps[i][r]);
-      for (std::size_t i = 0; i < n; ++i) steps[i][r] = m;
-    };
-    if (cfg_.sparse_merge) {
-      for (const std::uint32_t r : merge_rows_scratch_) sync_row(r);
-    } else {
-      for (std::size_t r = 0; r < info.input_rows(); ++r) sync_row(r);
+    const std::size_t cols = plan.input_cols();
+    // Segment-0 groups lead the table; a row split across two dense blocks
+    // is synced twice, which changes nothing.
+    for (const auto& q : groups) {
+      if (q.seg != 0) break;
+      for (std::size_t r = q.off / cols; r * cols < q.off + q.len; ++r) {
+        std::uint32_t m = 0;
+        for (std::size_t i = 0; i < n; ++i) m = std::max(m, steps[i][r]);
+        for (std::size_t i = 0; i < n; ++i) steps[i][r] = m;
+      }
     }
   }
   std::uint64_t max_step = 0;
@@ -520,300 +441,17 @@ std::size_t MultiGpuRuntime::merge_optimizer_state(
     max_step = std::max(max_step, optimizers_[g]->step());
   }
   for (const std::size_t g : alive_idx) optimizers_[g]->set_step(max_step);
-  return shipped;
+  return num_slots * plan.elems();
 }
 
-MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
-    std::span<const double> weights, double sync_time) {
-  assert(weights.size() == replicas_.size());
-  math_barrier();
-
-  MergeTiming timing;
-  // Elastic membership: the merge group is the alive subset. Survivor
-  // weights are compacted in replica index order, which preserves the
-  // deterministic accumulation contract (replica 0 of the survivor set
-  // initializes, the rest add in order) — bit-identical to a run over the
-  // survivors alone.
-  std::vector<std::size_t> alive_idx;
-  alive_idx.reserve(replicas_.size());
-  for (std::size_t g = 0; g < replicas_.size(); ++g) {
-    if (alive_[g]) alive_idx.push_back(g);
-  }
-  const std::size_t n = alive_idx.size();
-  assert(n > 0 && "merge_and_update: every replica is dead");
-  if (n < replicas_.size()) fault_stats_.degraded_merges += 1;
-  std::vector<double> alive_weights(n);
-  for (std::size_t i = 0; i < n; ++i) alive_weights[i] = weights[alive_idx[i]];
-  const MergeUpdate update{alive_weights, cfg_.momentum_gamma,
-                           cfg_.enable_momentum};
-
-  // Fused reduce + momentum over the model segments in place (Section IV:
-  // the model update is executed by the scheduler — fewer CPU-GPU
-  // transfers). No to_flat()/from_flat() staging and no model-sized
-  // accumulator: the kernels stream each replica once and write only the
-  // global/previous-global models; replicas are refreshed by the broadcast.
-  auto global_segs = global_->segment_views();
-  auto prev_segs = prev_global_->segment_views();
-  std::vector<std::vector<std::span<float>>> replica_segs;
-  replica_segs.reserve(n);
-  for (const std::size_t g : alive_idx) {
-    replica_segs.push_back(replicas_[g]->segment_views());
-  }
-  const std::size_t num_segments = global_segs.size();
-  std::vector<const float*> bases(n);
-  const auto merge_dense_segment = [&](std::size_t s) {
-    for (std::size_t i = 0; i < n; ++i) bases[i] = replica_segs[i][s].data();
-    merge_segment(bases, global_segs[s].size(), update, global_segs[s],
-                  prev_segs[s], reducer_->num_streams(), merge_ctx_);
-  };
-
-  std::size_t payload_params = global_->num_parameters();
-  std::size_t payload_groups = 0;
-  if (!compressed_merge()) {
-    // ---- fp32 (bit-exact oracle) path: ships raw floats. ----------------
-    if (!cfg_.sparse_merge) {
-      for (std::size_t s = 0; s < num_segments; ++s) merge_dense_segment(s);
-    } else {
-      // Delta path: only the cross-replica union of touched input-layer rows
-      // is reduced (and later rebroadcast); untouched rows — bit-identical
-      // across replicas since the last broadcast — collapse to the
-      // closed-form sum_i w_i * global_row, same accumulation order. The
-      // sparse layer is segment 0 of segment_views() by the Model contract.
-      merge_union_.clear();
-      // Crashed replicas' unions were dropped at apply_crashes_until; union
-      // only the alive members so the reduced set matches the survivor run.
-      for (const std::size_t g : alive_idx) merge_union_.add(touched_w1_[g]);
-      merge_union_.sorted_rows(merge_rows_scratch_);
-      const auto& info = global_->info();
-      const std::size_t hidden = info.input_cols();
-      for (std::size_t i = 0; i < n; ++i) bases[i] = replica_segs[i][0].data();
-      merge_touched_rows(bases, merge_rows_scratch_, hidden, update,
-                         global_segs[0].data(), prev_segs[0].data(),
-                         merge_ctx_);
-      merge_untouched_rows(merge_union_, info.input_rows(), hidden, update,
-                           global_segs[0], prev_segs[0], merge_ctx_);
-      for (std::size_t s = 1; s < num_segments; ++s) merge_dense_segment(s);
-      for (auto& t : touched_w1_) t.clear();
-      timing.touched_rows = merge_union_.size();
-      // Communication payload: the touched-row delta plus the dense tail.
-      payload_params =
-          merge_union_.size() * hidden +
-          (global_->num_parameters() - info.input_rows() * hidden);
-    }
-  } else {
-    // ---- Compressed merge: ship quantized deltas with error feedback. ---
-    // Each replica's contribution is its delta d_i = replica - global (the
-    // pending residual folded in), quantized per cfg.merge_precision; the
-    // fused merge reconstructs wsum*global + sum_i w_i*dequant(q_i). See
-    // DESIGN.md §10 for the pass structure and determinism argument.
-    const auto& info = global_->info();
-    const std::size_t hidden = info.input_cols();
-    std::span<const std::uint32_t> union_rows{};
-    if (cfg_.sparse_merge) {
-      merge_union_.clear();
-      for (const std::size_t g : alive_idx) merge_union_.add(touched_w1_[g]);
-      merge_union_.sorted_rows(merge_rows_scratch_);
-      union_rows = merge_rows_scratch_;
-      timing.touched_rows = merge_union_.size();
-      for (auto& t : touched_w1_) t.clear();
-    }
-    const std::size_t elems = build_quant_groups(union_rows, hidden);
-    const std::size_t num_groups = quant_groups_.size();
-    payload_params = elems;
-    payload_groups = num_groups;
-    const auto& vk = vec::kernels();
-    const bool is_i8 = cfg_.merge_precision == comm::MergePrecision::kInt8;
-    // Summed merge weight for the global term of the delta reconstruction
-    // (fixed summation order over the survivor set).
-    double wsum = 0.0;
-    for (const double w : alive_weights) wsum += w;
-
-    // Pass A — error feedback: r += replica - global over the merge region
-    // (pre-merge global). W1 rows outside the union keep their pending
-    // residual until a later merge ships them.
-    for (std::size_t i = 0; i < n; ++i) {
-      float* res = residual_[alive_idx[i]].data();
-      const auto& rsegs = replica_segs[i];
-      kernels::parallel_for_ranges(
-          merge_ctx_, num_groups, elems, [&](std::size_t g0, std::size_t g1) {
-            for (std::size_t g = g0; g < g1; ++g) {
-              const auto& q = quant_groups_[g];
-              vk.ef_delta(rsegs[q.seg].data() + q.off,
-                          global_segs[q.seg].data() + q.off, res + q.flat,
-                          q.len);
-            }
-          });
-    }
-
-    // Pass B — quantize from the residuals (retry-safe: the residuals are
-    // not modified until pass D).
-    std::vector<const std::uint16_t*> code16(n, nullptr);
-    std::vector<const std::int8_t*> code8(n, nullptr);
-    std::vector<const float*> scale_ptrs(n, nullptr);
-    // Scale the fp16 codes were actually quantized with (the loss-scale
-    // guard may grow past it after a clean merge).
-    float quant_scale = loss_scale_.scale;
-    if (is_i8) {
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t g = alive_idx[i];
-        q8_scratch_[g].resize(elems);
-        scale_scratch_[g].resize(num_groups);
-        float* scales = scale_scratch_[g].data();
-        std::int8_t* codes = q8_scratch_[g].data();
-        const float* res = residual_[g].data();
-        kernels::parallel_for_ranges(
-            merge_ctx_, num_groups, elems,
-            [&](std::size_t g0, std::size_t g1) {
-              for (std::size_t k = g0; k < g1; ++k) {
-                const auto& q = quant_groups_[k];
-                const float amax = vk.absmax(res + q.flat, q.len);
-                float store = 0.0f;  // wire scale: code * store = value
-                float mult = 0.0f;   // quantization multiplier
-                if (amax > 0.0f && std::isfinite(amax)) {
-                  store = amax / 127.0f;
-                  mult = 127.0f / amax;
-                }
-                scales[k] = store;
-                vk.quant_i8(res + q.flat, codes + q.dst, mult, q.len);
-              }
-            });
-        code8[i] = codes;
-        scale_ptrs[i] = scales;
-      }
-    } else {
-      for (std::size_t i = 0; i < n; ++i) {
-        q16_scratch_[alive_idx[i]].resize(elems);
-      }
-      // Dynamic loss scale: halve and requantize while any element
-      // overflows fp16 range; only the *count being nonzero* matters, so
-      // the retry decision is deterministic on every ISA.
-      bool any_overflow = false;
-      for (;;) {
-        const float s = loss_scale_.scale;
-        quant_scale = s;
-        std::atomic<std::size_t> over{0};
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t g = alive_idx[i];
-          std::uint16_t* codes = q16_scratch_[g].data();
-          const float* res = residual_[g].data();
-          kernels::parallel_for_ranges(
-              merge_ctx_, num_groups, elems,
-              [&](std::size_t g0, std::size_t g1) {
-                std::size_t local = 0;
-                for (std::size_t k = g0; k < g1; ++k) {
-                  const auto& q = quant_groups_[k];
-                  local += vk.quant_fp16(res + q.flat, codes + q.dst, s,
-                                         q.len);
-                }
-                over.fetch_add(local, std::memory_order_relaxed);
-              });
-        }
-        if (over.load(std::memory_order_relaxed) == 0) break;
-        any_overflow = true;
-        const float before = loss_scale_.scale;
-        loss_scale_.on_overflow();
-        if (loss_scale_.scale == before) break;  // at the floor; ship as-is
-      }
-      // Grow the scale only *after* this merge: the codes above were
-      // quantized with quant_scale, so dequant must use exactly that scale
-      // or every shipped delta lands at half magnitude on a growth merge.
-      if (!any_overflow) loss_scale_.on_clean_merge();
-      for (std::size_t i = 0; i < n; ++i) {
-        code16[i] = q16_scratch_[alive_idx[i]].data();
-      }
-    }
-    const float inv_scale = 1.0f / quant_scale;
-
-    // Pass C — fused quantized merge + momentum, region by region.
-    QuantizedSources qsrc;
-    qsrc.precision = cfg_.merge_precision;
-    qsrc.dequant_scale = inv_scale;
-    std::vector<const std::uint16_t*> r16(n);
-    std::vector<const std::int8_t*> r8(n);
-    std::vector<const float*> rsc(n);
-    const auto region_sources = [&](std::size_t code_off,
-                                    std::size_t scale_off) {
-      if (is_i8) {
-        for (std::size_t i = 0; i < n; ++i) {
-          r8[i] = code8[i] + code_off;
-          rsc[i] = scale_ptrs[i] + scale_off;
-        }
-        qsrc.i8 = r8;
-        qsrc.scales = rsc;
-        qsrc.fp16 = {};
-      } else {
-        for (std::size_t i = 0; i < n; ++i) r16[i] = code16[i] + code_off;
-        qsrc.fp16 = r16;
-        qsrc.i8 = {};
-        qsrc.scales = {};
-      }
-    };
-    std::size_t code_off = 0;
-    std::size_t scale_off = 0;
-    std::size_t first_dense = 0;
-    if (cfg_.sparse_merge) {
-      region_sources(0, 0);
-      merge_touched_rows_quantized(qsrc, union_rows, hidden, wsum, update,
-                                   global_segs[0].data(),
-                                   prev_segs[0].data(), merge_ctx_);
-      merge_untouched_rows(merge_union_, info.input_rows(), hidden, update,
-                           global_segs[0], prev_segs[0], merge_ctx_);
-      code_off = union_rows.size() * hidden;
-      scale_off = union_rows.size();
-      first_dense = 1;
-    }
-    for (std::size_t s = first_dense; s < num_segments; ++s) {
-      region_sources(code_off, scale_off);
-      merge_segment_quantized(qsrc, global_segs[s].size(), wsum, update,
-                              global_segs[s], prev_segs[s],
-                              reducer_->num_streams(), merge_ctx_);
-      code_off += global_segs[s].size();
-      scale_off +=
-          (global_segs[s].size() + kQuantGroupCols - 1) / kQuantGroupCols;
-    }
-
-    // Pass D — residual update: r -= dequant(q), leaving exactly the
-    // quantization error to be re-injected into the next merge.
-    for (std::size_t i = 0; i < n; ++i) {
-      float* res = residual_[alive_idx[i]].data();
-      const std::uint16_t* codes16 = code16[i];
-      const std::int8_t* codes8 = code8[i];
-      const float* scales = scale_ptrs[i];
-      kernels::parallel_for_ranges(
-          merge_ctx_, num_groups, elems, [&](std::size_t g0, std::size_t g1) {
-            for (std::size_t k = g0; k < g1; ++k) {
-              const auto& q = quant_groups_[k];
-              if (is_i8) {
-                vk.residual_i8(codes8 + q.dst, scales[k], res + q.flat,
-                               q.len);
-              } else {
-                vk.residual_fp16(codes16 + q.dst, inv_scale, res + q.flat,
-                                 q.len);
-              }
-            }
-          });
-    }
-  }
-  // Merge-boundary policy for the per-replica optimizer state; must run
-  // while merge_rows_scratch_ still holds this merge's touched union.
-  const std::size_t moment_params =
-      merge_optimizer_state(alive_idx, alive_weights);
-  broadcast_global();
-
-  // Charge the collective at the simulated (paper-scale) payload size, like
-  // every other kernel/transfer cost; compressed merges bill the quantized
-  // element bytes plus their scale/header metadata. The moment-merge state
-  // exchange ships as raw fp32 regardless of cfg.merge_precision.
-  auto wire = virtual_wire(payload_params, payload_groups);
-  if (moment_params != 0) {
-    wire.payload_bytes +=
-        static_cast<double>(virtual_payload_bytes(moment_params));
-  }
+void MultiGpuRuntime::bill_merge(MergeTiming& timing,
+                                 std::span<const std::size_t> alive_idx,
+                                 const comm::WirePayload& wire,
+                                 double sync_time) {
   // Bill the collective over the surviving ranks' actual topology: on one
   // node this is the flat collective (bit-identical to the scalar query);
   // across nodes it is the two-level intra-ring + chunked inter-node ring.
-  const auto cost = reducer_->cost(std::span<const std::size_t>(alive_idx),
-                                   wire);
+  const auto cost = reducer_->cost(alive_idx, wire);
   timing.allreduce_seconds = cost.seconds;
   timing.payload_bytes = cost.payload_bytes;
   timing.wire_bytes = cost.wire_bytes;
@@ -836,6 +474,93 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
                   sync_time + timing.allreduce_seconds,
                   timing.host_roundtrip_seconds});
   }
+}
+
+MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
+    std::span<const double> weights, double sync_time) {
+  assert(weights.size() == replicas_.size());
+  math_barrier();
+
+  MergeTiming timing;
+  // Elastic membership: the merge group is the alive subset, compacted in
+  // replica index order — the accumulation is bit-identical to a run over
+  // the survivors alone.
+  std::vector<std::size_t> alive_idx;
+  std::vector<double> alive_weights;
+  for (std::size_t g = 0; g < replicas_.size(); ++g) {
+    if (!alive_[g]) continue;
+    alive_idx.push_back(g);
+    alive_weights.push_back(weights[g]);
+  }
+  const std::size_t n = alive_idx.size();
+  assert(n > 0 && "merge_and_update: every replica is dead");
+  if (n < replicas_.size()) fault_stats_.degraded_merges += 1;
+  const MergeUpdate update{alive_weights, cfg_.momentum_gamma,
+                           cfg_.enable_momentum};
+
+  // The region this merge ships: the whole model, or under sparse_merge the
+  // cross-replica union of touched W1 rows plus the dense segments.
+  // Crashed replicas' unions were dropped at apply_crashes_until, so the
+  // union matches a run over the survivors alone.
+  const MergePlan& plan = cfg_.sparse_merge
+                              ? delta_plan_.build_delta(touched_w1_, alive_idx)
+                              : model_plan_;
+  for (auto& t : touched_w1_) t.clear();  // empty unless sparse_merge
+  timing.touched_rows = plan.rows().size();
+
+  // Fused reduce + momentum over the model segments in place (Section IV:
+  // the model update is executed by the scheduler — fewer CPU-GPU
+  // transfers). The kernels stream each replica once and write only the
+  // global/previous-global models; replicas are refreshed by the broadcast.
+  const auto global_segs = global_->segment_views();
+  const auto prev_segs = prev_global_->segment_views();
+  std::vector<std::vector<std::span<float>>> replica_segs;
+  replica_segs.reserve(n);
+  for (const std::size_t g : alive_idx) {
+    replica_segs.push_back(replicas_[g]->segment_views());
+  }
+  if (!codec_.compressed()) {
+    // fp32: the bit-exact Σ w_i x_i oracle, straight from the replicas.
+    std::vector<const float*> bases(n);
+    for (std::size_t s = 0; s < global_segs.size(); ++s) {
+      for (std::size_t i = 0; i < n; ++i) bases[i] = replica_segs[i][s].data();
+      if (s < plan.first_dense()) {  // a delta plan's touched W1 rows
+        merge_touched_rows(bases, plan.rows(), plan.input_cols(), update,
+                           global_segs[s].data(), prev_segs[s].data(),
+                           merge_ctx_);
+      } else {
+        merge_segment(bases, global_segs[s].size(), update, global_segs[s],
+                      prev_segs[s], reducer_->num_streams(), merge_ctx_);
+      }
+    }
+  } else {
+    // Compressed: quantized deltas with error feedback (DESIGN.md §10).
+    const double wsum =
+        std::accumulate(alive_weights.begin(), alive_weights.end(), 0.0);
+    codec_.encode(alive_idx, replica_segs, global_segs, plan.groups(),
+                  plan.elems(), merge_ctx_);
+    merge_quantized(plan, codec_, wsum, update, global_segs, prev_segs,
+                    merge_ctx_);
+    codec_.commit(merge_ctx_);
+  }
+  // Untouched W1 rows are bit-identical across replicas: the closed form
+  // sum_i w_i * global_row, same accumulation order, no replica reads.
+  if (plan.delta()) {
+    merge_untouched_rows(plan.touched(), plan.input_rows(), plan.input_cols(),
+                         update, global_segs[0], prev_segs[0], merge_ctx_);
+  }
+  const std::size_t moment_params =
+      merge_optimizer_state(plan, alive_idx, alive_weights);
+  broadcast_global();
+
+  // Charge the collective at the simulated (paper-scale) payload size, like
+  // every other kernel/transfer cost; compressed merges bill the quantized
+  // element bytes plus their scale/header metadata. The moment-merge state
+  // exchange ships as raw fp32 regardless of cfg.merge_precision.
+  auto wire = virtual_wire(plan.elems(), plan.num_groups());
+  wire.payload_bytes +=
+      static_cast<double>(virtual_payload_bytes(moment_params));
+  bill_merge(timing, alive_idx, wire, sync_time);
   if (publish_hook_) publish_hook_(*global_, timing.finish);
   return timing;
 }

@@ -21,6 +21,7 @@
 #include "comm/allreduce.h"
 #include "core/config.h"
 #include "core/executor.h"
+#include "core/merging.h"
 #include "core/metrics.h"
 #include "data/sample_stream.h"
 #include "data/synthetic.h"
@@ -190,9 +191,7 @@ class MultiGpuRuntime {
   /// True when merges ship compressed payloads (cfg.merge_precision !=
   /// fp32): per-replica error-feedback residuals and the loss-scale guard
   /// are live state.
-  bool compressed_merge() const {
-    return cfg_.merge_precision != comm::MergePrecision::kFp32;
-  }
+  bool compressed_merge() const { return codec_.compressed(); }
 
   /// Wire description (element data + compression metadata, both scaled by
   /// comm_scale) of a payload of `params` parameters carrying `groups`
@@ -201,26 +200,27 @@ class MultiGpuRuntime {
   /// stays bit-identical.
   comm::WirePayload virtual_wire(std::size_t params, std::size_t groups) const;
 
-  /// virtual_wire for the whole model under the dense 512-block grouping —
-  /// the cost-only transfer size for trainers that bill model-sized
-  /// exchanges (sync, CROSSBOW, parameter server) without running the
-  /// quantized merge math.
-  comm::WirePayload virtual_model_wire() const;
+  /// virtual_wire of the whole-model (dense) merge plan — the cost-only
+  /// transfer size for trainers that bill model-sized exchanges (sync,
+  /// CROSSBOW, parameter server) without running the quantized merge math.
+  comm::WirePayload virtual_model_wire() const {
+    return virtual_wire(model_plan_.elems(), model_plan_.num_groups());
+  }
 
   /// Per-replica error-feedback residual (flat model layout; empty when the
   /// merge is uncompressed). Exposed for checkpointing and tests.
   std::span<float> residual_state(std::size_t g) {
-    return residual_.empty() ? std::span<float>{}
-                             : std::span<float>(residual_[g]);
+    return codec_.residual(g);
   }
   std::span<const float> residual_state(std::size_t g) const {
-    return residual_.empty() ? std::span<const float>{}
-                             : std::span<const float>(residual_[g]);
+    return codec_.residual(g);
   }
 
   /// fp16 dynamic loss-scale state (checkpointed with the residuals).
-  comm::LossScaleGuard& loss_scale_guard() { return loss_scale_; }
-  const comm::LossScaleGuard& loss_scale_guard() const { return loss_scale_; }
+  comm::LossScaleGuard& loss_scale_guard() { return codec_.guard(); }
+  const comm::LossScaleGuard& loss_scale_guard() const {
+    return codec_.guard();
+  }
 
   /// Cost-only step accounting: charges device g for the batch transfer and
   /// the kernel sequence of one SGD step over `x`, without running any
@@ -357,12 +357,17 @@ class MultiGpuRuntime {
   std::unique_ptr<nn::Optimizer> global_optimizer_;
 
   // Merge-boundary optimizer-state policy (cfg.moment_merge, DESIGN.md
-  // §11) over the alive subset; uses merge_rows_scratch_ (the current
-  // touched union) for segment 0 when sparse_merge is on. Returns the
-  // fp32 element count shipped for the state exchange (0 for keep/reset
-  // and for stateless optimizers).
-  std::size_t merge_optimizer_state(std::span<const std::size_t> alive_idx,
+  // §11) over the alive subset: averaging covers the merge plan's region.
+  // Returns the fp32 element count shipped for the state exchange (0 for
+  // keep/reset and for stateless optimizers).
+  std::size_t merge_optimizer_state(const MergePlan& plan,
+                                    std::span<const std::size_t> alive_idx,
                                     std::span<const double> alive_weights);
+  // Charges a merge's collective (`wire`, over the alive ranks' topology)
+  // and host round trip into `timing`, advances the alive devices' clocks
+  // to timing.finish and traces both phases.
+  void bill_merge(MergeTiming& timing, std::span<const std::size_t> alive_idx,
+                  const comm::WirePayload& wire, double sync_time);
   // Shared ownership: in threaded mode the manager's work item must keep
   // its batch alive even after the scheduler dispatches the next one.
   std::vector<std::shared_ptr<Batch>> last_batch_;
@@ -371,47 +376,16 @@ class MultiGpuRuntime {
 
   // Delta-merge state (cfg.sparse_merge): per-replica mega-batch unions of
   // touched W1 rows, written by each GPU's manager inside its dispatched
-  // step and read by the scheduler after math_barrier(); plus the
-  // cross-replica union + sorted scratch used during the merge.
+  // step and read by the scheduler after math_barrier().
   std::vector<sparse::RowSet> touched_w1_;
-  sparse::RowSet merge_union_;
-  std::vector<std::uint32_t> merge_rows_scratch_;
+  // The whole-model plan (dense merges and model-sized billing) and the
+  // delta plan rebuilt at every sparse merge.
+  MergePlan model_plan_;
+  MergePlan delta_plan_;
   // Context for the merge kernels (scheduler-side, whole pool).
   kernels::Context merge_ctx_;
-
-  // Merge-payload compression state (cfg.merge_precision != kFp32).
-  // Residuals live in the flat model layout (segment concatenation order),
-  // one buffer per replica, so untouched W1 rows keep their pending
-  // correction across merges whose unions differ. Scratch holds the
-  // per-replica packed code/scale regions of the current merge.
-  std::vector<std::vector<float>> residual_;
-  comm::LossScaleGuard loss_scale_;
-  std::vector<std::size_t> seg_offset_;  // flat offset of each segment
-  std::vector<std::vector<std::uint16_t>> q16_scratch_;
-  std::vector<std::vector<std::int8_t>> q8_scratch_;
-  std::vector<std::vector<float>> scale_scratch_;
-  // Quantization group table of the current merge; see
-  // build_quant_groups(). One entry per scale group (a union W1 row or a
-  // 512-block of a dense segment), addressing the group three ways: by
-  // model segment (seg/off — replica and global reads), by flat model
-  // offset (flat — the residual buffers), and by packed code offset (dst —
-  // the code/scale scratch).
-  struct QuantGroup {
-    std::size_t seg = 0;
-    std::size_t off = 0;   // offset within segment `seg`
-    std::size_t flat = 0;  // residual (flat model) offset
-    std::size_t dst = 0;   // packed code offset
-    std::size_t len = 0;
-  };
-  std::vector<QuantGroup> quant_groups_;
-  std::size_t model_groups_ = 0;  // dense 512-block group count, full model
-
-  // Builds quant_groups_ for the current merge region and returns the total
-  // element count. Sparse mode: one group per union W1 row (width = hidden)
-  // followed by 512-blocks of the dense tail segments; dense mode:
-  // 512-blocks of every segment.
-  std::size_t build_quant_groups(std::span<const std::uint32_t> union_rows,
-                                 std::size_t hidden);
+  // Merge-payload compression state: residuals, codes, loss-scale guard.
+  comm::MergeCodec codec_{comm::MergePrecision::kFp32, 0, 0};
 
   // Loss accumulation (slot per GPU; written only by that GPU's manager —
   // cache-line padded so adjacent slots never false-share across managers).
