@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
 #include <string>
 #include <utility>
 
@@ -64,6 +65,13 @@ ModelInfo make_info(const DeepMlp::Config& cfg) {
   return info;
 }
 
+// "FxH1x..xC" of a layer list.
+std::string layer_shape(const std::vector<tensor::Matrix>& weights) {
+  std::string shape = std::to_string(weights.front().rows());
+  for (const auto& w : weights) shape += "x" + std::to_string(w.cols());
+  return shape;
+}
+
 }  // namespace
 
 DeepMlp::DeepMlp(const Config& cfg) : cfg_(cfg), info_(make_info(cfg)) {
@@ -93,10 +101,25 @@ std::unique_ptr<Model> DeepMlp::clone() const {
 
 void DeepMlp::copy_from(const Model& other) {
   const auto& src = dynamic_cast<const DeepMlp&>(other);
-  assert(src.num_parameters() == num_parameters());
+  // Equal parameter counts are not enough: hidden {1,11} and {2,7} at
+  // F=4096, C=1024 both hold 16407 parameters. Copy only between equal
+  // layer lists, in place, so the target never changes shape.
+  bool same = src.weights_.size() == weights_.size();
+  for (std::size_t l = 0; same && l < weights_.size(); ++l) {
+    same = src.weights_[l].rows() == weights_[l].rows() &&
+           src.weights_[l].cols() == weights_[l].cols();
+  }
+  if (!same) {
+    throw std::invalid_argument("DeepMlp::copy_from: source shape " +
+                                layer_shape(src.weights_) +
+                                " does not match target shape " +
+                                layer_shape(weights_));
+  }
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    weights_[l] = src.weights_[l];
-    biases_[l] = src.biases_[l];
+    std::copy(src.weights_[l].flat().begin(), src.weights_[l].flat().end(),
+              weights_[l].flat().begin());
+    std::copy(src.biases_[l].begin(), src.biases_[l].end(),
+              biases_[l].begin());
   }
 }
 

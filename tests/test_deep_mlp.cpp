@@ -4,6 +4,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "data/synthetic.h"
 #include "nn/evaluate.h"
@@ -135,6 +138,41 @@ TEST(DeepMlp, CloneAndCopyFromPreserveParameters) {
   DeepMlp other(deep_config({8, 4}));
   other.copy_from(net);
   EXPECT_EQ(other.to_flat(), net.to_flat());
+}
+
+TEST(DeepMlp, CopyFromRejectsAnotherLayerList) {
+  // Same parameter count (16407), different layers: the copy must refuse,
+  // name both shapes and leave the target's bytes as they were.
+  const auto make = [](std::vector<std::size_t> hidden, std::uint64_t seed) {
+    DeepMlp::Config cfg;
+    cfg.num_features = 4096;
+    cfg.hidden = std::move(hidden);
+    cfg.num_classes = 1024;
+    DeepMlp net(cfg);
+    util::Rng rng(seed);
+    net.init(rng);
+    return net;
+  };
+  const DeepMlp src = make({1, 11}, 1);
+  DeepMlp dst = make({2, 7}, 2);
+  ASSERT_EQ(src.num_parameters(), dst.num_parameters());
+  const auto before = dst.to_flat();
+  try {
+    dst.copy_from(src);
+    FAIL() << "copy between different layer lists was accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("4096x1x11x1024"), std::string::npos)
+        << e.what();
+    EXPECT_NE(std::string(e.what()).find("4096x2x7x1024"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(dst.to_flat(), before);
+  EXPECT_EQ(dst.weights(0).cols(), 2u);
+
+  // A source with fewer layers is refused too (it used to be read past its
+  // last layer).
+  EXPECT_THROW(dst.copy_from(make({2}, 3)), std::invalid_argument);
+  EXPECT_EQ(dst.to_flat(), before);
 }
 
 TEST(DeepMlp, LossDecreasesAtEveryDepth) {
