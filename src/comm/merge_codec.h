@@ -45,7 +45,6 @@ class MergeCodec {
   MergeCodec(MergePrecision precision, std::size_t num_replicas,
              std::size_t params);
 
-  MergePrecision precision() const { return precision_; }
   bool compressed() const { return precision_ != MergePrecision::kFp32; }
 
   /// Replica g's error-feedback residual (flat model layout; empty at
@@ -82,7 +81,7 @@ class MergeCodec {
   /// Pass D: every encoded member's residual loses what its codes carry.
   void commit(const kernels::Context& ctx);
 
-  /// Codes and scales of replica g from the last encode (tests, benches).
+  /// Codes and scales of replica g from the last encode (tests).
   std::span<const std::uint16_t> fp16_codes(std::size_t g) const {
     return q16_[g];
   }

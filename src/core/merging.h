@@ -152,7 +152,7 @@ void merge_touched_rows(std::span<const float* const> replicas,
 
 /// Scale-group width of the dense regions: int8 payloads carry one fp32
 /// scale per kQuantGroupCols-element block (W1 rows group by row in delta
-/// plans instead). Equal to the merge accumulator block.
+/// plans instead).
 inline constexpr std::size_t kQuantGroupCols = 512;
 
 /// The region one merge ships, as a table of quantization scale groups
@@ -172,7 +172,7 @@ class MergePlan {
 
   /// Rebuilds as the delta plan over the union of touched[g], g in members.
   const MergePlan& build_delta(std::span<const sparse::RowSet> touched,
-                   std::span<const std::size_t> members);
+                               std::span<const std::size_t> members);
 
   bool delta() const { return delta_; }
   std::span<const comm::CodeGroup> groups() const { return groups_; }
