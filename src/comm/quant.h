@@ -109,8 +109,10 @@ std::size_t encode_fp16(std::span<const float> x, std::uint32_t cols,
 
 /// The int8 scale rule for one group of `n` elements: writes the codes
 /// rne(clamp(x * 127 / absmax)) and returns the wire scale absmax / 127
-/// (code * scale = value). An all-zero (or non-finite-absmax) group gets
-/// scale 0 and zero codes. encode_i8 and the merge codec both use it.
+/// (code * scale = value). A group whose absmax is zero or non-finite gets
+/// scale 0, so it dequantizes to zero (finite elements get code 0; an inf
+/// element gets the clamp of inf * 0). encode_i8 and the merge codec both
+/// use it.
 float encode_i8_group(const float* x, std::int8_t* codes, std::size_t n);
 
 /// Quantizes `x` into the int8 wire format with one encode_i8_group scale
