@@ -280,25 +280,42 @@ constexpr std::size_t kXmlNnzPerRow = 100;     // 0.0048% density
 constexpr std::size_t kXmlClasses = 512;
 constexpr std::size_t kXmlBatch = 128;
 
+// The XML-shape model and batch, built once per process: initializing the
+// 2^21 x 64 input layer takes longer than a whole timed repetition.
+struct XmlStep {
+  nn::DeepMlp model;
+  sparse::CsrMatrix x;
+  sparse::CsrMatrix y;
+};
+const XmlStep& xml_step() {
+  static const XmlStep step = [] {
+    XmlStep s{nn::DeepMlp(mlp_config(kXmlFeatures, 64, kXmlClasses)),
+              make_sparse_batch(kXmlBatch, kXmlFeatures, kXmlNnzPerRow, 8),
+              make_labels(kXmlBatch, kXmlClasses, 9)};
+    util::Rng rng(7);
+    s.model.init(rng);
+    return s;
+  }();
+  return step;
+}
+
 // End-to-end training step on the sparsity-aware backend. Args: {threads}.
 void BM_SgdStepXml(benchmark::State& state) {
   const auto threads = static_cast<std::size_t>(state.range(0));
-  const auto cfg = mlp_config(kXmlFeatures, 64, kXmlClasses);
-  util::Rng rng(7);
-  nn::DeepMlp model(cfg);
-  model.init(rng);
-  const auto x = make_sparse_batch(kXmlBatch, cfg.num_features,
-                                   kXmlNnzPerRow, 8);
-  const auto y = make_labels(kXmlBatch, cfg.num_classes, 9);
+  const XmlStep& step = xml_step();
+  nn::DeepMlp model = step.model;  // every run trains its own copy
   const auto ws = model.make_workspace();
   util::ThreadPool pool(threads);
   if (threads > 1) ws->ctx = kernels::Context{&pool, threads};
   for (auto _ : state) {
-    model.train_step(x, y, 0.01f, *ws);
+    model.train_step(step.x, step.y, 0.01f, *ws);
   }
   state.SetItemsProcessed(state.iterations() * kXmlBatch);
 }
+// Single runs of this step move ~25% on a shared host, so each thread count
+// is reported as aggregates (median, mean, stddev, cv) over 10 repetitions.
 BENCHMARK(BM_SgdStepXml)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
+    ->Repetitions(10)->ReportAggregatesOnly(true)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
 
 // The seed implementation's hot path, kept here as the speedup baseline: a

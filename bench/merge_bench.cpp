@@ -188,7 +188,7 @@ void run_fused_delta_merge(MergeSetup& s, sparse::RowSet& merge_union,
 }
 
 // Deep-model variant of the fused delta merge, run exactly as the runtime
-// now does it for any nn::Model: delta-merge segment 0 (the sparse input
+// does it at any depth: delta-merge segment 0 (the sparse input
 // layer) over the touched-row union, fused dense merge for every remaining
 // [W,b] segment of the layer stack.
 struct DeepMergeSetup {
@@ -501,8 +501,8 @@ BENCHMARK(BM_HierarchicalMergeCost)
 
 // args: {log2(features), replicas, threads, per-replica touched permille}
 // Deep model (hidden 64,32): one extra dense [W,b] segment pair vs the
-// two-layer MLP, merged through the same generic segment path the runtime
-// uses for any nn::Model.
+// two-layer MLP, merged through the same segment loop the runtime uses at
+// any depth.
 void BM_MergeFusedDeltaDeep(benchmark::State& state) {
   DeepMergeSetup s(std::size_t{1} << state.range(0),
                    static_cast<std::size_t>(state.range(1)),

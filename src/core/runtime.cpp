@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <utility>
 
 #include "core/merging.h"
 
@@ -41,11 +42,11 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   const auto hidden_layers = cfg.derived_hidden_layers();
 
   util::Rng init_rng(cfg.seed);
-  global_ = nn::make_model(cfg.model_kind, num_features, hidden_layers,
-                           num_classes);
-  global_->init(init_rng);
-  prev_global_ = global_->clone();
-  global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, *global_);
+  global_ = std::move(*nn::make_model(cfg.model_kind, num_features,
+                                      hidden_layers, num_classes));
+  global_.init(init_rng);
+  prev_global_ = global_;
+  global_optimizer_ = nn::Optimizer::make(cfg_.optimizer, global_);
 
   const std::size_t n = devices.size();
   const std::size_t streams =
@@ -63,12 +64,12 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     // model-sized state matrix per optimizer slot (adam/adamw: 2, adagrad:
     // 1, sgd: 0) stay resident for the whole run.
     gpus_.back()->allocate(
-        (2 + global_optimizer_->num_slots()) * global_->num_bytes());
-    replicas_.push_back(global_->clone());
+        (2 + global_optimizer_->num_slots()) * global_.num_bytes());
   }
+  replicas_.assign(n, global_);
+  workspaces_.resize(n);
   for (std::size_t g = 0; g < n; ++g) {
-    workspaces_.push_back(global_->make_workspace());
-    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, *replicas_[g]));
+    optimizers_.push_back(nn::Optimizer::make(cfg_.optimizer, replicas_[g]));
   }
   // Cap absurd requests (e.g. a negative CLI value cast through size_t)
   // before sizing the pool; oversubscription past this helps nobody.
@@ -81,7 +82,7 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   if (kernel_threads > 1) {
     kernel_pool_ = std::make_unique<util::ThreadPool>(kernel_threads);
     for (auto& ws : workspaces_) {
-      ws->ctx = kernels::Context{kernel_pool_.get(), kernel_threads};
+      ws.ctx = kernels::Context{kernel_pool_.get(), kernel_threads};
     }
     merge_ctx_ = kernels::Context{kernel_pool_.get(), kernel_threads};
   }
@@ -89,8 +90,8 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
   loss_slots_.resize(n);
   alive_.assign(n, 1);
   crash_time_.assign(n, 0.0);
-  const auto& info = global_->info();
-  model_plan_ = MergePlan(global_->segment_views(), info.input_rows(),
+  const auto& info = global_.info();
+  model_plan_ = MergePlan(global_.segment_views(), info.input_rows(),
                           info.input_cols());
   if (cfg_.sparse_merge) {
     touched_w1_.resize(n);
@@ -98,12 +99,12 @@ MultiGpuRuntime::MultiGpuRuntime(const data::XmlDataset& dataset,
     delta_plan_ = model_plan_;
   }
   codec_ = comm::MergeCodec(cfg_.merge_precision, n,
-                            global_->num_parameters());
+                            global_.num_parameters());
   broadcast_global();
 }
 
 void MultiGpuRuntime::set_kernel_threads(std::size_t g, std::size_t n) {
-  auto& ctx = workspaces_[g]->ctx;
+  auto& ctx = workspaces_[g].ctx;
   if (kernel_pool_ == nullptr || n <= 1) {
     ctx = kernels::Context{};
     return;
@@ -194,7 +195,7 @@ std::vector<std::size_t> MultiGpuRuntime::apply_joins_until(double t) {
     const auto ev = pending_joins_[join_cursor_++];
     if (alive_[ev.device]) continue;  // already a member (restored state)
     gpus_[ev.device]->revive_at(t);
-    replicas_[ev.device]->copy_from(*global_);
+    replicas_[ev.device].copy_from(global_);
     // A joiner seeds from the merged global model; any residual left from
     // its previous membership describes deltas that no longer exist.
     codec_.reset(ev.device);
@@ -231,7 +232,7 @@ double MultiGpuRuntime::charge_step(std::size_t g, const sparse::CsrMatrix& x,
                               static_cast<int>(g));
   const double data_ready = earliest_start + xfer;
 
-  auto kernels = global_->step_kernels(x);
+  auto kernels = global_.step_kernels(x);
   const double work_scale = cfg_.framework_overhead * cfg_.compute_scale;
   if (work_scale != 1.0) {
     for (auto& k : kernels) {
@@ -246,7 +247,7 @@ double MultiGpuRuntime::charge_step(std::size_t g, const sparse::CsrMatrix& x,
   const double avg_nnz = x.rows() > 0 ? static_cast<double>(x.nnz()) /
                                             static_cast<double>(x.rows())
                                       : 0.0;
-  const std::size_t step_bytes = global_->step_memory_bytes(x.rows(), avg_nnz);
+  const std::size_t step_bytes = global_.step_memory_bytes(x.rows(), avg_nnz);
   // Resolve the true kernel start (past any stall window) before touching
   // device state: a dead device must throw before the allocation so no
   // memory leaks on the unavailable path, and the OOM check must use the
@@ -280,15 +281,15 @@ double MultiGpuRuntime::run_update_step(std::size_t g, Batch batch, double lr,
     // compute + apply through the optimizer: for sgd this is bit-identical
     // to the old fused train_step (train_step == compute_gradients +
     // apply_gradients, and SgdOptimizer::apply IS apply_gradients).
-    const auto stats = replicas_[g]->compute_gradients(stored->x, stored->y,
-                                                       *workspaces_[g]);
-    optimizers_[g]->apply(*replicas_[g], *workspaces_[g],
+    const auto stats = replicas_[g].compute_gradients(stored->x, stored->y,
+                                                      workspaces_[g]);
+    optimizers_[g]->apply(replicas_[g], workspaces_[g],
                           static_cast<float>(lr),
                           static_cast<float>(cfg_.weight_decay));
     // Delta-merge bookkeeping rides inside the manager's work item: the
     // workspace gradient keys are only valid until the next step on g.
     if (cfg_.sparse_merge) {
-      touched_w1_[g].add(workspaces_[g]->touched_input_rows());
+      touched_w1_[g].add(workspaces_[g].touched_input_rows());
     }
     loss_slots_[g].sum += stats.loss;
     loss_slots_[g].count += 1;
@@ -303,13 +304,12 @@ double MultiGpuRuntime::run_gradient_step(std::size_t g, Batch batch,
   last_batch_[g] = stored;
   executor_->dispatch(g, [this, g, stored] {
     const auto stats =
-        replicas_[g]->compute_gradients(stored->x, stored->y,
-                                        *workspaces_[g]);
+        replicas_[g].compute_gradients(stored->x, stored->y, workspaces_[g]);
     // Conservative for gradient-only steps (the rows may be applied later
     // by the trainer): over-tracking only widens the reduced union, which
     // stays bit-identical — under-tracking is what would break the merge.
     if (cfg_.sparse_merge) {
-      touched_w1_[g].add(workspaces_[g]->touched_input_rows());
+      touched_w1_[g].add(workspaces_[g].touched_input_rows());
     }
     loss_slots_[g].sum += stats.loss;
     loss_slots_[g].count += 1;
@@ -512,12 +512,12 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   // the model update is executed by the scheduler — fewer CPU-GPU
   // transfers). The kernels stream each replica once and write only the
   // global/previous-global models; replicas are refreshed by the broadcast.
-  const auto global_segs = global_->segment_views();
-  const auto prev_segs = prev_global_->segment_views();
+  const auto global_segs = global_.segment_views();
+  const auto prev_segs = prev_global_.segment_views();
   std::vector<std::vector<std::span<float>>> replica_segs;
   replica_segs.reserve(n);
   for (const std::size_t g : alive_idx) {
-    replica_segs.push_back(replicas_[g]->segment_views());
+    replica_segs.push_back(replicas_[g].segment_views());
   }
   if (!codec_.compressed()) {
     // fp32: the bit-exact Σ w_i x_i oracle, straight from the replicas.
@@ -561,14 +561,14 @@ MultiGpuRuntime::MergeTiming MultiGpuRuntime::merge_and_update(
   wire.payload_bytes +=
       static_cast<double>(virtual_payload_bytes(moment_params));
   bill_merge(timing, alive_idx, wire, sync_time);
-  if (publish_hook_) publish_hook_(*global_, timing.finish);
+  if (publish_hook_) publish_hook_(global_, timing.finish);
   return timing;
 }
 
 void MultiGpuRuntime::broadcast_global() {
   for (std::size_t g = 0; g < replicas_.size(); ++g) {
     if (!alive_.empty() && !alive_[g]) continue;  // dead replicas rejoin later
-    replicas_[g]->copy_from(*global_);
+    replicas_[g].copy_from(global_);
   }
 }
 
@@ -576,7 +576,7 @@ void MultiGpuRuntime::record_curve_point(TrainResult& result, double vtime,
                                          std::size_t megabatch,
                                          double train_loss) const {
   const auto eval =
-      nn::evaluate(*global_, dataset_.test, cfg_.eval_samples);
+      nn::evaluate(global_, dataset_.test, cfg_.eval_samples);
   CurvePoint p;
   p.vtime = vtime;
   p.samples = stream_.samples_served();
@@ -594,7 +594,7 @@ void MultiGpuRuntime::record_curve_point(TrainResult& result, double vtime,
 std::size_t MultiGpuRuntime::max_feasible_batch(std::size_t g,
                                                 double at) const {
   const double avg_nnz = dataset_.train.features.avg_row_nnz();
-  const std::size_t per_sample = global_->step_memory_bytes(1, avg_nnz);
+  const std::size_t per_sample = global_.step_memory_bytes(1, avg_nnz);
   return gpus_[g]->max_batch_for(per_sample, at);
 }
 

@@ -44,13 +44,13 @@ class MultiGpuRuntime {
   std::size_t num_gpus() const { return gpus_.size(); }
   const TrainerConfig& config() const { return cfg_; }
   const data::XmlDataset& dataset() const { return dataset_; }
-  /// Architecture of the (polymorphic) model being trained.
-  const nn::ModelInfo& model_info() const { return global_->info(); }
+  /// Architecture of the model being trained.
+  const nn::Model::Config& model_info() const { return global_.info(); }
 
   sim::VirtualGpu& gpu(std::size_t g) { return *gpus_[g]; }
   const sim::VirtualGpu& gpu(std::size_t g) const { return *gpus_[g]; }
-  nn::Model& replica(std::size_t g) { return *replicas_[g]; }
-  nn::ModelWorkspace& workspace(std::size_t g) { return *workspaces_[g]; }
+  nn::Model& replica(std::size_t g) { return replicas_[g]; }
+  nn::DeepWorkspace& workspace(std::size_t g) { return workspaces_[g]; }
 
   /// Replica g's update rule + state (cfg.optimizer). Trainers whose
   /// replicas advance independently (adaptive/elastic via run_update_step,
@@ -135,8 +135,8 @@ class MultiGpuRuntime {
 
   /// Previous global model (Algorithm 2 momentum state) — checkpointed
   /// alongside the global model for bit-identical recovery.
-  nn::Model& prev_global_model() { return *prev_global_; }
-  const nn::Model& prev_global_model() const { return *prev_global_; }
+  nn::Model& prev_global_model() { return prev_global_; }
+  const nn::Model& prev_global_model() const { return prev_global_; }
 
   /// Fast-forwards the sample stream without materializing ids
   /// (checkpoint resume).
@@ -178,7 +178,7 @@ class MultiGpuRuntime {
   /// buffer times cfg.comm_scale. All communication costs (all-reduce,
   /// host round trips) use this size.
   std::size_t virtual_model_bytes() const {
-    return virtual_payload_bytes(global_->num_parameters());
+    return virtual_payload_bytes(global_.num_parameters());
   }
 
   /// Interconnect charge for an arbitrary parameter count (the delta merge
@@ -281,8 +281,8 @@ class MultiGpuRuntime {
                                double sync_time);
 
   /// The current global model (host copy).
-  const nn::Model& global_model() const { return *global_; }
-  nn::Model& global_model() { return *global_; }
+  const nn::Model& global_model() const { return global_; }
+  nn::Model& global_model() { return global_; }
 
   /// Copies the global model into every replica (used at initialization and
   /// by trainers that keep identical replicas).
@@ -339,16 +339,15 @@ class MultiGpuRuntime {
   // cfg.kernel_threads resolves to 1); workspaces hold Contexts into it.
   std::unique_ptr<util::ThreadPool> kernel_pool_;
 
-  // Polymorphic model state (nn::make_model from cfg.model_kind): the
-  // runtime never names a concrete architecture.
-  std::unique_ptr<nn::Model> global_;
+  // Model state (nn::make_model from cfg.model_kind), held by value.
+  nn::Model global_;
   // Previous global model for the momentum term (Algorithm 2 line 8); kept
   // as a model so the merge runs segment-wise in place — no flat staging
   // buffers on the merge path.
-  std::unique_ptr<nn::Model> prev_global_;
+  nn::Model prev_global_;
 
-  std::vector<std::unique_ptr<nn::Model>> replicas_;
-  std::vector<std::unique_ptr<nn::ModelWorkspace>> workspaces_;
+  std::vector<nn::Model> replicas_;
+  std::vector<nn::DeepWorkspace> workspaces_;
   // Update rules + state (cfg.optimizer): one per replica plus one for the
   // global model. Crash/join always resets the affected replica's state
   // (moments describing a dead replica's trajectory are meaningless to the

@@ -82,20 +82,18 @@ void SyncSgdTrainer::run_megabatch(TrainResult& result) {
     runtime_.dispatch_math(0, [this, batches = std::move(batches), &model, lr,
                                k] {
       auto& ws = runtime_.workspace(0);
-      std::vector<std::unique_ptr<nn::ModelWorkspace>> grads;
-      grads.reserve(k);
+      std::vector<nn::DeepWorkspace> grads(k);
       for (std::size_t i = 0; i < k; ++i) {
         // Workspace 0 is reused for activations; gradients are swapped out
         // so later batches do not overwrite earlier ones.
         const auto stats =
             model.compute_gradients(batches[i].x, batches[i].y, ws);
         runtime_.record_loss(0, stats.loss);
-        grads.push_back(model.make_workspace());
-        ws.swap_gradients(*grads.back());
+        ws.swap_gradients(grads[i]);
       }
       const float scaled_lr = static_cast<float>(lr / static_cast<double>(k));
       for (std::size_t i = 0; i < k; ++i) {
-        runtime_.global_optimizer().apply(model, *grads[i], scaled_lr, 0.0f);
+        runtime_.global_optimizer().apply(model, grads[i], scaled_lr, 0.0f);
       }
     });
     runtime_.math_barrier();

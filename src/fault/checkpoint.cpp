@@ -123,12 +123,6 @@ std::string serialize_model(const nn::Model& model) {
   return out.str();
 }
 
-std::string shape_of(const nn::ModelInfo& info) {
-  std::string shape = std::to_string(info.num_features);
-  for (const std::size_t h : info.hidden) shape += "x" + std::to_string(h);
-  return shape + "x" + std::to_string(info.num_classes);
-}
-
 // Loads a model blob whose architecture must equal `target`'s. Comparing
 // parameter counts is not enough: F=100, C=10 with hidden {1,16} and {2,7}
 // both hold 303 parameters, and copying one into the other would leave
@@ -137,13 +131,11 @@ std::unique_ptr<nn::Model> load_matching_blob(const std::string& blob,
                                               const nn::Model& target) {
   std::istringstream in(blob, std::ios::binary);
   auto loaded = nn::load_any_model(in);
-  const auto& got = loaded->info();
-  const auto& want = target.info();
-  if (got.num_features != want.num_features || got.hidden != want.hidden ||
-      got.num_classes != want.num_classes) {
-    throw std::runtime_error("checkpoint: model shape " + shape_of(got) +
+  if (loaded->info() != target.info()) {
+    throw std::runtime_error("checkpoint: model shape " +
+                             loaded->info().shape() +
                              " does not match runtime model " +
-                             shape_of(want));
+                             target.info().shape());
   }
   return loaded;
 }

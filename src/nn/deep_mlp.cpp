@@ -23,6 +23,12 @@ std::size_t DeepMlp::Config::num_parameters() const {
   return total;
 }
 
+std::string DeepMlp::Config::shape() const {
+  std::string s = std::to_string(num_features);
+  for (const std::size_t h : hidden) s += "x" + std::to_string(h);
+  return s + "x" + std::to_string(num_classes);
+}
+
 void DeepWorkspace::ensure(const DeepMlp::Config& cfg) {
   const std::size_t nh = cfg.hidden.size();
   const std::size_t layers = cfg.num_layers();
@@ -47,34 +53,24 @@ void DeepWorkspace::ensure(const DeepMlp::Config& cfg) {
   }
 }
 
-void DeepWorkspace::swap_gradients(ModelWorkspace& other) {
-  auto& o = dynamic_cast<DeepWorkspace&>(other);
-  std::swap(grad_w1, o.grad_w1);
-  std::swap(grad_w, o.grad_w);
-  std::swap(grad_b, o.grad_b);
+void DeepWorkspace::swap_gradients(DeepWorkspace& other) {
+  std::swap(grad_w1, other.grad_w1);
+  std::swap(grad_w, other.grad_w);
+  std::swap(grad_b, other.grad_b);
 }
 
-namespace {
-
-ModelInfo make_info(const DeepMlp::Config& cfg) {
-  ModelInfo info;
-  info.num_features = cfg.num_features;
-  info.hidden = cfg.hidden;
-  info.num_classes = cfg.num_classes;
-  info.num_parameters = cfg.num_parameters();
-  return info;
+DeepWorkspace::GradientViews DeepWorkspace::gradient_views() const {
+  GradientViews views;
+  views.input = &grad_w1;
+  views.dense.push_back({grad_b[0].data(), grad_b[0].size()});
+  for (std::size_t l = 1; l < grad_b.size(); ++l) {
+    views.dense.push_back(grad_w[l - 1].flat());
+    views.dense.push_back({grad_b[l].data(), grad_b[l].size()});
+  }
+  return views;
 }
 
-// "FxH1x..xC" of a layer list.
-std::string layer_shape(const std::vector<tensor::Matrix>& weights) {
-  std::string shape = std::to_string(weights.front().rows());
-  for (const auto& w : weights) shape += "x" + std::to_string(w.cols());
-  return shape;
-}
-
-}  // namespace
-
-DeepMlp::DeepMlp(const Config& cfg) : cfg_(cfg), info_(make_info(cfg)) {
+DeepMlp::DeepMlp(const Config& cfg) : cfg_(cfg) {
   assert(!cfg.hidden.empty());
   std::size_t in = cfg.num_features;
   for (std::size_t h : cfg.hidden) {
@@ -95,35 +91,25 @@ void DeepMlp::init(util::Rng& rng) {
   }
 }
 
-std::unique_ptr<Model> DeepMlp::clone() const {
-  return std::make_unique<DeepMlp>(*this);
-}
-
-void DeepMlp::copy_from(const Model& other) {
-  const auto& src = dynamic_cast<const DeepMlp&>(other);
+void DeepMlp::copy_from(const DeepMlp& other) {
   // Equal parameter counts are not enough: hidden {1,11} and {2,7} at
   // F=4096, C=1024 both hold 16407 parameters. Copy only between equal
   // layer lists, in place, so the target never changes shape.
-  bool same = src.weights_.size() == weights_.size();
-  for (std::size_t l = 0; same && l < weights_.size(); ++l) {
-    same = src.weights_[l].rows() == weights_[l].rows() &&
-           src.weights_[l].cols() == weights_[l].cols();
-  }
-  if (!same) {
+  if (other.cfg_ != cfg_) {
     throw std::invalid_argument("DeepMlp::copy_from: source shape " +
-                                layer_shape(src.weights_) +
+                                other.cfg_.shape() +
                                 " does not match target shape " +
-                                layer_shape(weights_));
+                                cfg_.shape());
   }
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    std::copy(src.weights_[l].flat().begin(), src.weights_[l].flat().end(),
-              weights_[l].flat().begin());
-    std::copy(src.biases_[l].begin(), src.biases_[l].end(),
+    std::copy(other.weights_[l].flat().begin(),
+              other.weights_[l].flat().end(), weights_[l].flat().begin());
+    std::copy(other.biases_[l].begin(), other.biases_[l].end(),
               biases_[l].begin());
   }
 }
 
-std::unique_ptr<ModelWorkspace> DeepMlp::make_workspace() const {
+std::unique_ptr<DeepWorkspace> DeepMlp::make_workspace() const {
   return std::make_unique<DeepWorkspace>();
 }
 
@@ -166,6 +152,18 @@ double DeepMlp::l2_norm_per_parameter() const {
     ss += tensor::sum_of_squares({biases_[l].data(), biases_[l].size()});
   }
   return std::sqrt(ss) / static_cast<double>(num_parameters());
+}
+
+double DeepMlp::squared_distance(const DeepMlp& other) const {
+  assert(num_parameters() == other.num_parameters());
+  const auto a = to_flat();
+  const auto b = other.to_flat();
+  double ss = 0.0;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double d = static_cast<double>(a[i]) - b[i];
+    ss += d * d;
+  }
+  return ss;
 }
 
 double DeepMlp::forward_impl(const sparse::CsrMatrix& x,
@@ -212,30 +210,28 @@ double DeepMlp::forward_impl(const sparse::CsrMatrix& x,
 
 double DeepMlp::forward_loss(const sparse::CsrMatrix& x,
                              const sparse::CsrMatrix& y,
-                             ModelWorkspace& ws) const {
-  auto& dws = dynamic_cast<DeepWorkspace&>(ws);
-  dws.ensure(cfg_);
-  return forward_impl(x, y, dws);
+                             DeepWorkspace& ws) const {
+  ws.ensure(cfg_);
+  return forward_impl(x, y, ws);
 }
 
 StepStats DeepMlp::compute_gradients(const sparse::CsrMatrix& x,
                                      const sparse::CsrMatrix& y,
-                                     ModelWorkspace& ws) const {
-  auto& dws = dynamic_cast<DeepWorkspace&>(ws);
-  dws.ensure(cfg_);
+                                     DeepWorkspace& ws) const {
+  ws.ensure(cfg_);
   const std::size_t layers = cfg_.num_layers();
   const std::size_t nh = cfg_.hidden.size();
 
   StepStats stats;
   stats.batch_size = x.rows();
   stats.batch_nnz = x.nnz();
-  stats.loss = forward_impl(x, y, dws);
+  stats.loss = forward_impl(x, y, ws);
 
   const float inv_batch = 1.0f / static_cast<float>(x.rows());
 
   // Output delta: (probs - target) / batch, target uniform over positives.
-  auto& dlast = dws.deltas[layers - 1];
-  dlast = dws.probs;
+  auto& dlast = ws.deltas[layers - 1];
+  dlast = ws.probs;
   for (std::size_t r = 0; r < x.rows(); ++r) {
     const auto labels = y.row_cols(r);
     if (labels.empty()) continue;
@@ -246,42 +242,38 @@ StepStats DeepMlp::compute_gradients(const sparse::CsrMatrix& x,
   tensor::scale(dlast.flat(), inv_batch);
 
   // Output-layer gradients.
-  tensor::gemm_at_b(dws.acts[nh - 1], dlast, dws.grad_w[layers - 2],
-                    dws.ctx);
-  tensor::column_sums(dlast, {dws.grad_b[layers - 1].data(),
-                              dws.grad_b[layers - 1].size()});
+  tensor::gemm_at_b(ws.acts[nh - 1], dlast, ws.grad_w[layers - 2], ws.ctx);
+  tensor::column_sums(dlast, {ws.grad_b[layers - 1].data(),
+                              ws.grad_b[layers - 1].size()});
 
   // Propagate down the dense stack; deltas are w.r.t. pre-activations.
   for (std::size_t l = layers - 1; l-- > 0;) {
-    tensor::gemm_a_bt(dws.deltas[l + 1], weights_[l + 1], dws.deltas[l],
-                      dws.ctx);
-    tensor::relu_backward(dws.pre[l], dws.deltas[l]);
+    tensor::gemm_a_bt(ws.deltas[l + 1], weights_[l + 1], ws.deltas[l], ws.ctx);
+    tensor::relu_backward(ws.pre[l], ws.deltas[l]);
     if (l > 0) {
-      tensor::gemm_at_b(dws.acts[l - 1], dws.deltas[l], dws.grad_w[l - 1],
-                        dws.ctx);
-      tensor::column_sums(dws.deltas[l],
-                          {dws.grad_b[l].data(), dws.grad_b[l].size()});
+      tensor::gemm_at_b(ws.acts[l - 1], ws.deltas[l], ws.grad_w[l - 1], ws.ctx);
+      tensor::column_sums(ws.deltas[l],
+                          {ws.grad_b[l].data(), ws.grad_b[l].size()});
     }
   }
 
   // Sparse input layer: touched-row gradient keyed by this batch. No
   // F x H1 dense buffer is ever materialized.
-  dws.grad_w1.reset(x, cfg_.hidden.front());
-  dws.grad_w1.accumulate_spmm_t(x, dws.deltas[0], dws.ctx);
-  tensor::column_sums(dws.deltas[0],
-                      {dws.grad_b[0].data(), dws.grad_b[0].size()});
+  ws.grad_w1.reset(x, cfg_.hidden.front());
+  ws.grad_w1.accumulate_spmm_t(x, ws.deltas[0], ws.ctx);
+  tensor::column_sums(ws.deltas[0],
+                      {ws.grad_b[0].data(), ws.grad_b[0].size()});
   return stats;
 }
 
-void DeepMlp::apply_gradients(const ModelWorkspace& ws, float lr,
+void DeepMlp::apply_gradients(const DeepWorkspace& ws, float lr,
                               float weight_decay) {
-  const auto& dws = dynamic_cast<const DeepWorkspace&>(ws);
   const std::size_t layers = cfg_.num_layers();
   // Decoupled L2 decay factor; 1.0 when decay is off.
   const float keep = 1.0f - lr * weight_decay;
   // Sparse input layer: only the feature rows present in the batch carry
   // gradient (and, for consistency, decay).
-  dws.grad_w1.apply_to(weights_[0], lr, keep, dws.ctx);
+  ws.grad_w1.apply_to(weights_[0], lr, keep, ws.ctx);
   if (weight_decay != 0.0f) {
     tensor::scale({biases_[0].data(), biases_[0].size()}, keep);
     for (std::size_t l = 1; l < layers; ++l) {
@@ -289,18 +281,18 @@ void DeepMlp::apply_gradients(const ModelWorkspace& ws, float lr,
       tensor::scale({biases_[l].data(), biases_[l].size()}, keep);
     }
   }
-  tensor::axpy(-lr, {dws.grad_b[0].data(), dws.grad_b[0].size()},
+  tensor::axpy(-lr, {ws.grad_b[0].data(), ws.grad_b[0].size()},
                {biases_[0].data(), biases_[0].size()});
   for (std::size_t l = 1; l < layers; ++l) {
-    tensor::axpy(-lr, dws.grad_w[l - 1].flat(), weights_[l].flat());
-    tensor::axpy(-lr, {dws.grad_b[l].data(), dws.grad_b[l].size()},
+    tensor::axpy(-lr, ws.grad_w[l - 1].flat(), weights_[l].flat());
+    tensor::axpy(-lr, {ws.grad_b[l].data(), ws.grad_b[l].size()},
                  {biases_[l].data(), biases_[l].size()});
   }
 }
 
 StepStats DeepMlp::train_step(const sparse::CsrMatrix& x,
                               const sparse::CsrMatrix& y, float lr,
-                              ModelWorkspace& ws, float weight_decay) {
+                              DeepWorkspace& ws, float weight_decay) {
   const StepStats stats = compute_gradients(x, y, ws);
   apply_gradients(ws, lr, weight_decay);
   return stats;

@@ -16,8 +16,7 @@ EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
                        : std::min(max_samples, test.num_samples());
   if (n == 0) return result;
 
-  const auto ws_ptr = model.make_workspace();
-  auto& ws = *ws_ptr;
+  DeepWorkspace ws;
   const std::size_t c = model.info().num_classes;
   std::size_t top1_hits = 0, top5_hits = 0;
   std::size_t p3_hits = 0, p5_hits = 0;  // summed |top-k ∩ true|

@@ -24,8 +24,8 @@ struct EvalResult {
 /// batches of `eval_batch`. Using a fixed prefix keeps mega-batch-boundary
 /// evaluation cheap and comparable across algorithms; the paper likewise
 /// excludes evaluation time from its measurements.
-/// Works for any nn::Model; probs are read from the workspace the model
-/// itself creates (no architecture knowledge here beyond num_classes).
+/// Reads the softmax probs the model's forward pass leaves in its
+/// workspace.
 EvalResult evaluate(const Model& model, const sparse::LabeledDataset& test,
                     std::size_t max_samples = 0, std::size_t eval_batch = 256);
 

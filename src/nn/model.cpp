@@ -1,23 +1,8 @@
 #include "nn/model.h"
 
-#include <cassert>
 #include <stdexcept>
 
-#include "nn/deep_mlp.h"
-
 namespace hetero::nn {
-
-double Model::squared_distance(const Model& other) const {
-  assert(num_parameters() == other.num_parameters());
-  const auto a = to_flat();
-  const auto b = other.to_flat();
-  double ss = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double d = static_cast<double>(a[i]) - b[i];
-    ss += d * d;
-  }
-  return ss;
-}
 
 std::string to_string(ModelKind kind) {
   switch (kind) {
@@ -29,9 +14,9 @@ std::string to_string(ModelKind kind) {
   return "unknown";
 }
 
-std::unique_ptr<Model> make_model(ModelKind kind, std::size_t num_features,
-                                  std::span<const std::size_t> hidden,
-                                  std::size_t num_classes) {
+std::unique_ptr<DeepMlp> make_model(ModelKind kind, std::size_t num_features,
+                                    std::span<const std::size_t> hidden,
+                                    std::size_t num_classes) {
   if (hidden.empty()) {
     throw std::invalid_argument("model requires at least one hidden layer");
   }

@@ -46,7 +46,7 @@ class SgdOptimizer final : public Optimizer {
  public:
   OptimizerKind kind() const override { return OptimizerKind::kSgd; }
 
-  void apply(Model& model, const ModelWorkspace& ws, float lr,
+  void apply(Model& model, const DeepWorkspace& ws, float lr,
              float weight_decay) override {
     model.apply_gradients(ws, lr, weight_decay);
     ++step_;

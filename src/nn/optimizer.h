@@ -87,7 +87,7 @@ class Optimizer {
   /// Applies the gradients staged in `ws` to `model` and advances the
   /// state. `model` must match the constructing architecture. Segment 0 is
   /// updated lazily over ws.gradient_views().input's touched rows.
-  virtual void apply(Model& model, const ModelWorkspace& ws, float lr,
+  virtual void apply(Model& model, const DeepWorkspace& ws, float lr,
                      float weight_decay) = 0;
 
   /// Number of state matrices: 0 (sgd), 1 (adagrad: accumulator), 2

@@ -26,7 +26,7 @@ class AdagradOptimizer final : public StatefulOptimizer {
 
   OptimizerKind kind() const override { return OptimizerKind::kAdagrad; }
 
-  void apply(Model& model, const ModelWorkspace& ws, float lr,
+  void apply(Model& model, const DeepWorkspace& ws, float lr,
              float weight_decay) override {
     auto segs = model.segment_views();
     assert(segs.size() == seg_sizes_.size());

@@ -38,7 +38,7 @@ class AdamOptimizer final : public StatefulOptimizer {
     return decoupled_ ? OptimizerKind::kAdamW : OptimizerKind::kAdam;
   }
 
-  void apply(Model& model, const ModelWorkspace& ws, float lr,
+  void apply(Model& model, const DeepWorkspace& ws, float lr,
              float weight_decay) override {
     auto segs = model.segment_views();
     assert(segs.size() == seg_sizes_.size());

@@ -8,7 +8,6 @@
 #include <stdexcept>
 
 #include "fault/checkpoint.h"
-#include "nn/deep_mlp.h"
 #include "nn/serialize.h"
 #include "sparse/ops.h"
 #include "tensor/ops.h"
@@ -30,43 +29,31 @@ std::string serialize_model(const nn::Model& model) {
 
 ModelSnapshot::ModelSnapshot(const nn::Model& global, std::uint64_t version,
                              double vtime, const LshParams& lsh)
-    : model_(global.clone()),
+    : model_(global),
       version_(version),
       vtime_(vtime),
-      blob_(serialize_model(*model_)),
-      lsh_(lsh) {
-  // Resolve per-layer weight/bias views once. Scoring reads these raw
-  // pointers; the clone they point into lives exactly as long as we do.
-  const auto* deep = dynamic_cast<const nn::DeepMlp*>(model_.get());
-  if (deep == nullptr) {
-    throw std::invalid_argument(
-        "ModelSnapshot: unknown model kind (no layer accessors)");
-  }
-  for (std::size_t l = 0; l < info().num_layers(); ++l) {
-    weights_.push_back(&deep->weights(l));
-    biases_.emplace_back(deep->biases(l));
-  }
-}
+      blob_(serialize_model(model_)),
+      lsh_(lsh) {}
 
 void ModelSnapshot::forward_hidden(const sparse::CsrMatrix& x,
                                    QueryScratch& s) const {
   const std::size_t hidden_layers = info().hidden.size();
   s.acts.resize(hidden_layers);
   const auto ctx = kernels::Context::serial();
-  sparse::spmm(x, *weights_[0], s.acts[0], ctx);
-  tensor::add_row_bias(s.acts[0], biases_[0]);
+  sparse::spmm(x, model_.weights(0), s.acts[0], ctx);
+  tensor::add_row_bias(s.acts[0], model_.biases(0));
   tensor::relu(s.acts[0]);
   for (std::size_t l = 1; l < hidden_layers; ++l) {
-    tensor::gemm(s.acts[l - 1], *weights_[l], s.acts[l], ctx);
-    tensor::add_row_bias(s.acts[l], biases_[l]);
+    tensor::gemm(s.acts[l - 1], model_.weights(l), s.acts[l], ctx);
+    tensor::add_row_bias(s.acts[l], model_.biases(l));
     tensor::relu(s.acts[l]);
   }
 }
 
 void ModelSnapshot::score_output(QueryScratch& s) const {
-  tensor::gemm(s.acts.back(), *weights_.back(), s.logits,
+  tensor::gemm(s.acts.back(), model_.weights(output_layer()), s.logits,
                kernels::Context::serial());
-  tensor::add_row_bias(s.logits, biases_.back());
+  tensor::add_row_bias(s.logits, model_.biases(output_layer()));
 }
 
 void ModelSnapshot::topk_exact(const QueryScratch& s, std::size_t row,
@@ -77,7 +64,7 @@ void ModelSnapshot::topk_exact(const QueryScratch& s, std::size_t row,
 
 const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
   std::call_once(lsh_once_, [this] {
-    const tensor::Matrix& wout = *weights_.back();  // H x C
+    const tensor::Matrix& wout = model_.weights(output_layer());  // H x C
     const std::size_t h = wout.rows(), c = wout.cols();
     auto bundle = std::make_unique<LshBundle>(LshBundle{
         tensor::Matrix(),
@@ -100,7 +87,7 @@ const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
     }
     // Asymmetric MIPS transform (see LshBundle): equalize augmented item
     // norms at M so SimHash collisions rank by dot + bias.
-    const auto& bias = biases_.back();
+    const auto& bias = model_.biases(output_layer());
     double m2 = 0.0;
     std::vector<double> item_norm2(c);
     for (std::size_t j = 0; j < c; ++j) {
@@ -144,7 +131,7 @@ const ModelSnapshot::LshBundle& ModelSnapshot::lsh_bundle() const {
 float ModelSnapshot::candidate_score(std::span<const float> h,
                                      std::uint32_t label) const {
   return static_cast<float>(tensor::dot(h, bundle_->wout_t.row(label))) +
-         biases_.back()[label];
+         model_.biases(output_layer())[label];
 }
 
 bool ModelSnapshot::topk_lsh(std::size_t row, std::size_t k, QueryScratch& s,

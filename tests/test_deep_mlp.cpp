@@ -4,12 +4,18 @@
 
 #include <cmath>
 #include <cstring>
+#include <istream>
+#include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "data/synthetic.h"
 #include "nn/evaluate.h"
+#include "nn/model.h"
+#include "nn/serialize.h"
 #include "util/rng.h"
 
 namespace hetero::nn {
@@ -372,13 +378,24 @@ TEST(DeepMlp, L2NormPerParameter) {
   }
 }
 
+// One concrete model type: nn::Model names DeepMlp, neither it nor its
+// workspace has a vtable, and both factories hand out a DeepMlp.
+static_assert(std::is_same_v<Model, DeepMlp>);
+static_assert(!std::is_polymorphic_v<DeepMlp>);
+static_assert(!std::is_polymorphic_v<DeepWorkspace>);
+static_assert(std::is_same_v<decltype(make_model(ModelKind::kMlp, 0, {}, 0)),
+                             std::unique_ptr<DeepMlp>>);
+static_assert(
+    std::is_same_v<decltype(load_any_model(std::declval<std::istream&>())),
+                   std::unique_ptr<DeepMlp>>);
+
 TEST(ModelFactory, BuildsBothKindsAndValidates) {
   const std::size_t hidden1[] = {16};
   const std::size_t hidden2[] = {16, 8};
+  // kMlp is the one-hidden-layer DeepMlp (the static_asserts above pin the
+  // type).
   const auto mlp = make_model(ModelKind::kMlp, 24, hidden1, 6);
   EXPECT_EQ(mlp->info().hidden, (std::vector<std::size_t>{16}));
-  // One model class: kMlp is the one-hidden-layer DeepMlp.
-  EXPECT_NE(dynamic_cast<const DeepMlp*>(mlp.get()), nullptr);
   const auto deep = make_model(ModelKind::kDeep, 24, hidden2, 6);
   EXPECT_EQ(deep->info().hidden, (std::vector<std::size_t>{16, 8}));
 

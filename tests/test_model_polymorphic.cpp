@@ -1,8 +1,10 @@
-// The model-polymorphic training stack, end to end: DeepMlp gradients
+// The training stack at any depth, end to end: DeepMlp gradients
 // against central finite differences, and the deep model through the real
 // multi-GPU adaptive schedule — threaded bit-identical to inline, delta
 // merge bit-identical to the dense oracle, and the paper's one-hidden-layer
-// model pinned to golden merge results through the whole runtime.
+// model pinned to golden merge results through the whole runtime. (The
+// file name predates the removal of the abstract model interface; the tsan
+// preset's test filter names it.)
 #include <gtest/gtest.h>
 
 #include <cmath>

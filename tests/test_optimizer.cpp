@@ -163,7 +163,7 @@ struct AdamOracle {
         1.0 / (1.0 - std::pow(beta, static_cast<double>(t))));
   }
 
-  void step(Model& model, const ModelWorkspace& ws, float lr, float wd) {
+  void step(Model& model, const DeepWorkspace& ws, float lr, float wd) {
     const auto& vk = *vec::kernels_for(vec::Isa::kScalar);
     auto segs = model.segment_views();
     vec::AdamParams p;
